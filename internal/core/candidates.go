@@ -13,36 +13,36 @@ import (
 	"innsearch/internal/telemetry"
 )
 
-// candGen owns a session's candidate-generation backend (Config.Index):
-// the index built over the session's current view and the accumulated
-// work statistics. The generator is consulted by nearestPositions for
-// full-space scans (sub.Identity()), where the backend's L2 ranking is
-// the engine's ranking, and — when the backend implements
-// index.AxisSearcher — for axis-aligned subspace scans routed through
-// axisScanRoute; arbitrary-direction subspaces keep the exact kernels.
+// candGen owns a session's candidate-generation stage (Config.Index):
+// per-shard backends the session's coordinator builds over its current
+// view, and the accumulated work statistics. The generator is consulted
+// by nearestPositions for full-space scans (sub.Identity()), where the
+// backend's L2 ranking is the engine's ranking, and — when the backend
+// implements index.AxisSearcher — for axis-aligned subspace scans routed
+// through axisScanRoute; arbitrary-direction subspaces keep the exact
+// kernels.
 //
 // Sessions prune rows between major iterations, producing a new view;
-// the generator detects the view change and lazily re-ensures the index:
-// derived in O(n′) from the previous view's backend when it implements
+// the generator detects the view change and lazily re-ensures the index
+// through the coordinator (shard.Coordinator.EnsureIndex): derived in
+// O(n′) from the previous view's backends when they implement
 // index.Deriver and the views share a recorded row provenance
-// (dataset.RowsBetween), rebuilt from scratch otherwise. Each fresh
-// build emits one index_build trace event, each derivation one
-// index_derive event, and each query one candidate_gen event. With a shared cache (Config.IndexCache) a build whose (view,
-// backend, options) key was already built by another session is reused
-// instead — no build runs, no index_build event fires, and the reuse is
-// counted in IndexStats.CacheHits. With a shard coordinator
-// (Config.Shards) the stage runs as per-shard backends scattered and
-// merged by the coordinator.
+// (dataset.RowsBetween), rebuilt from scratch otherwise. Each ensure that
+// built fresh emits one index_build trace event, each served by
+// derivation one index_derive event, and each query one candidate_gen
+// event. With a shared cache (Config.IndexCache) a build whose (view,
+// shard, backend, options) key was already built by another session is
+// reused instead — no build runs, no index_build event fires, and the
+// reuse is counted in IndexStats.CacheHits. At P=1 the coordinator runs
+// one backend over the whole view.
 type candGen struct {
-	cfg     index.Config
-	backend index.Backend
-	built   *dataset.View // view the backend was last built over
-
-	// cache shares built backends across sessions (nil: per-session).
-	cache *index.Cache
-	// coord routes the stage through per-shard backends (nil: one
-	// backend over the whole view).
+	cfg   index.Config
 	coord *shard.Coordinator
+	// axis reports whether the backend implements index.AxisSearcher.
+	axis bool
+	// built is the view the coordinator's backends were last ensured
+	// over; queries on it skip the ensure (and its clock read).
+	built *dataset.View
 
 	// tr/major/minor are the owning session's tracer context, updated as
 	// the session advances (nil-safe; standalone use leaves them zero).
@@ -60,10 +60,11 @@ type candGen struct {
 	stats   index.Stats
 }
 
-// newCandGen constructs the configured backend, or (nil, nil) when no
-// index was requested — the zero-overhead default path. Unknown backend
-// names fail here, at session construction, not mid-iteration.
-func newCandGen(cfg index.Config, workers int) (*candGen, error) {
+// newCandGen validates the configured backend over the session's
+// coordinator, or returns (nil, nil) when no index was requested — the
+// zero-overhead default path. Unknown backend names fail here, at session
+// construction, not mid-iteration.
+func newCandGen(cfg index.Config, workers int, coord *shard.Coordinator) (*candGen, error) {
 	if !cfg.Enabled() {
 		return nil, nil
 	}
@@ -74,19 +75,69 @@ func newCandGen(cfg index.Config, workers int) (*candGen, error) {
 	if cfg.Options.Workers == 0 {
 		cfg.Options.Workers = workers
 	}
-	return &candGen{cfg: cfg, backend: b}, nil
+	_, axis := b.(index.AxisSearcher)
+	return &candGen{cfg: cfg, coord: coord, axis: axis}, nil
 }
 
-// ensure (re)builds the backend when the session's view has advanced.
-// With a cache, the build is shared: a hit installs the other session's
-// backend (safe — backends allow concurrent KNN after Build) and a miss
-// builds a fresh instance, never re-Building a cached one in place.
-//
-// Before building fresh, ensure walks the view's provenance chain: a view
-// that is a pure row narrowing of the one the backend was built over, on
-// a backend implementing index.Deriver, derives the child index from the
-// built state in O(n′) — the tentpole that makes indexes pay off across a
-// session's shrinking views instead of rebuilding per generation.
+// candidates returns the backends' merged k-candidate set for the ambient
+// query q against view v, ensuring the index first if needed.
+func (g *candGen) candidates(ctx context.Context, v *dataset.View, q linalg.Vector, k int) ([]index.Candidate, error) {
+	return g.query(ctx, v, func() ([]index.Candidate, index.Stats, error) {
+		return g.coord.Candidates(ctx, v, q, k)
+	})
+}
+
+// candidatesAxis is the axis-subspace route: the backends' KNNAxis serves
+// the scan over the masked original attributes (see index.AxisSearcher).
+// The caller guarantees the backend supports it (g.axis).
+func (g *candGen) candidatesAxis(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, error) {
+	return g.query(ctx, v, func() ([]index.Candidate, index.Stats, error) {
+		return g.coord.CandidatesAxis(ctx, v, qaxis, axes, k)
+	})
+}
+
+// query ensures the index over v, runs one coordinator query, and counts
+// it with its candidate_gen event.
+func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]index.Candidate, index.Stats, error)) ([]index.Candidate, error) {
+	if err := g.ensure(ctx, v); err != nil {
+		return nil, err
+	}
+	var t0 time.Time
+	if g.tr.enabled() {
+		t0 = g.tr.now()
+	}
+	cands, st, err := run()
+	if err != nil {
+		return nil, fmt.Errorf("core: candidate generation (%s): %w", g.cfg.Name, err)
+	}
+	g.calls++
+	g.stats.Add(st)
+	if g.tr.enabled() {
+		g.tr.emit(telemetry.Event{
+			Time:       t0,
+			Type:       telemetry.EventCandidateGen,
+			Major:      g.major,
+			Minor:      g.minor,
+			Stage:      "candidates",
+			Backend:    g.cfg.Name,
+			N:          v.N(),
+			Dim:        v.Dim(),
+			Shards:     g.coord.Shards(),
+			Picked:     len(cands),
+			Scanned:    st.Scanned,
+			Refined:    st.Refined,
+			DurationMS: g.tr.since(t0),
+			Span:       spanPath(g.span, "candidate_gen#"+strconv.Itoa(g.calls)),
+			Parent:     g.span,
+		})
+	}
+	return cands, nil
+}
+
+// ensure runs the coordinator's EnsureIndex when the view has advanced and
+// classifies its per-shard records into exactly one of: an index_build
+// event (some shard built fresh), an index_derive event (shards derived,
+// none built), or a counted cache hit (everything reused).
 func (g *candGen) ensure(ctx context.Context, v *dataset.View) error {
 	if g.built == v {
 		return nil
@@ -95,255 +146,9 @@ func (g *candGen) ensure(ctx context.Context, v *dataset.View) error {
 	if g.tr.enabled() {
 		t0 = g.tr.now()
 	}
-	if g.built != nil && g.backend != nil {
-		if der, ok := g.backend.(index.Deriver); ok {
-			if rows, ok := dataset.RowsBetween(g.built, v); ok && rows != nil {
-				parent, parentView := g.backend, g.built
-				if g.cache != nil {
-					key := index.CacheKey{Source: v, Shard: 0, Shards: 1, Name: g.cfg.Name, Options: g.cfg.Options, Parent: parentView}
-					b, hit, err := g.cache.Get(ctx, key, func(ctx context.Context) (index.Backend, error) {
-						return der.Derive(ctx, parent, v, rows)
-					})
-					if err != nil {
-						return fmt.Errorf("core: index derive (%s): %w", g.cfg.Name, err)
-					}
-					g.backend = b
-					g.built = v
-					if hit {
-						g.hits++
-						return nil // nothing was derived; no index_derive event
-					}
-					g.derives++
-					g.emitDerive(parentView.N(), v, t0)
-					return nil
-				}
-				nb, err := der.Derive(ctx, parent, v, rows)
-				if err != nil {
-					return fmt.Errorf("core: index derive (%s): %w", g.cfg.Name, err)
-				}
-				g.backend = nb
-				g.built = v
-				g.derives++
-				g.emitDerive(parentView.N(), v, t0)
-				return nil
-			}
-		}
-	}
-	if g.cache != nil {
-		key := index.CacheKey{Source: v, Shard: 0, Shards: 1, Name: g.cfg.Name, Options: g.cfg.Options}
-		b, hit, err := g.cache.Get(ctx, key, func(ctx context.Context) (index.Backend, error) {
-			nb, err := index.New(g.cfg.Name)
-			if err != nil {
-				return nil, err
-			}
-			if err := nb.Build(ctx, v, g.cfg.Options); err != nil {
-				return nil, err
-			}
-			return nb, nil
-		})
-		if err != nil {
-			return fmt.Errorf("core: index build (%s): %w", g.cfg.Name, err)
-		}
-		g.backend = b
-		g.built = v
-		if hit {
-			g.hits++
-			return nil // nothing was built; no index_build event
-		}
-		g.builds++
-		g.emitBuild(v, t0)
-		return nil
-	}
-	if err := g.backend.Build(ctx, v, g.cfg.Options); err != nil {
-		return fmt.Errorf("core: index build (%s): %w", g.cfg.Name, err)
-	}
-	g.built = v
-	g.builds++
-	g.emitBuild(v, t0)
-	return nil
-}
-
-func (g *candGen) emitBuild(v *dataset.View, t0 time.Time) {
-	if !g.tr.enabled() {
-		return
-	}
-	g.tr.emit(telemetry.Event{
-		Time:       t0,
-		Type:       telemetry.EventIndexBuild,
-		Major:      g.major,
-		Minor:      g.minor,
-		Stage:      "index/build",
-		Backend:    g.cfg.Name,
-		N:          v.N(),
-		Dim:        v.Dim(),
-		Shards:     1,
-		DurationMS: g.tr.since(t0),
-		Span:       spanPath(g.span, "index_build#"+strconv.Itoa(g.builds)),
-		Parent:     g.span,
-	})
-}
-
-// emitDerive mirrors emitBuild for the incremental path: ParentN records
-// the size of the index the derivation avoided re-scanning.
-func (g *candGen) emitDerive(parentN int, v *dataset.View, t0 time.Time) {
-	if !g.tr.enabled() {
-		return
-	}
-	g.tr.emit(telemetry.Event{
-		Time:       t0,
-		Type:       telemetry.EventIndexDerive,
-		Major:      g.major,
-		Minor:      g.minor,
-		Stage:      "index/derive",
-		Backend:    g.cfg.Name,
-		ParentN:    parentN,
-		N:          v.N(),
-		Dim:        v.Dim(),
-		Shards:     1,
-		DurationMS: g.tr.since(t0),
-		Span:       spanPath(g.span, "index_derive#"+strconv.Itoa(g.derives)),
-		Parent:     g.span,
-	})
-}
-
-// candidates returns the backend's k-candidate set for the ambient query
-// q against view v, building the index first if needed.
-func (g *candGen) candidates(ctx context.Context, v *dataset.View, q linalg.Vector, k int) ([]index.Candidate, error) {
-	if g.coord != nil {
-		return g.candidatesSharded(ctx, v, q, k)
-	}
-	if err := g.ensure(ctx, v); err != nil {
-		return nil, err
-	}
-	var t0 time.Time
-	if g.tr.enabled() {
-		t0 = g.tr.now()
-	}
-	cands, st, err := g.backend.KNN(ctx, q, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: candidate generation (%s): %w", g.cfg.Name, err)
-	}
-	g.emitQuery(v, cands, st, t0, 1)
-	return cands, nil
-}
-
-// candidatesAxis is the axis-subspace route: the backend's KNNAxis serves
-// the scan over the masked original attributes (see index.AxisSearcher).
-// The caller guarantees the backend supports it (supportsAxis).
-func (g *candGen) candidatesAxis(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, error) {
-	if g.coord != nil {
-		return g.candidatesAxisSharded(ctx, v, qaxis, axes, k)
-	}
-	if err := g.ensure(ctx, v); err != nil {
-		return nil, err
-	}
-	as, ok := g.backend.(index.AxisSearcher)
-	if !ok {
-		return nil, fmt.Errorf("core: backend %s cannot serve axis scans", g.cfg.Name)
-	}
-	var t0 time.Time
-	if g.tr.enabled() {
-		t0 = g.tr.now()
-	}
-	cands, st, err := as.KNNAxis(ctx, qaxis, axes, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: candidate generation (%s): %w", g.cfg.Name, err)
-	}
-	g.emitQuery(v, cands, st, t0, 1)
-	return cands, nil
-}
-
-// supportsAxis reports whether the configured backend implements
-// index.AxisSearcher — the gate nearestPositions checks before routing an
-// axis-subspace scan through the index.
-func (g *candGen) supportsAxis() bool {
-	_, ok := g.backend.(index.AxisSearcher)
-	return ok
-}
-
-// emitQuery counts one query and emits its candidate_gen event.
-func (g *candGen) emitQuery(v *dataset.View, cands []index.Candidate, st index.Stats, t0 time.Time, shards int) {
-	g.calls++
-	g.stats.Add(st)
-	if !g.tr.enabled() {
-		return
-	}
-	g.tr.emit(telemetry.Event{
-		Time:       t0,
-		Type:       telemetry.EventCandidateGen,
-		Major:      g.major,
-		Minor:      g.minor,
-		Stage:      "candidates",
-		Backend:    g.cfg.Name,
-		N:          v.N(),
-		Dim:        v.Dim(),
-		Shards:     shards,
-		Picked:     len(cands),
-		Scanned:    st.Scanned,
-		Refined:    st.Refined,
-		DurationMS: g.tr.since(t0),
-		Span:       spanPath(g.span, "candidate_gen#"+strconv.Itoa(g.calls)),
-		Parent:     g.span,
-	})
-}
-
-// candidatesSharded is the coordinator route: per-shard backends built by
-// EnsureIndex (shared through the cache when one is configured), queried
-// and merged under the engine's strict order. One index_build event
-// covers the scatter when at least one shard actually built fresh; one
-// index_derive event covers a scatter served entirely by per-shard
-// derivations; all-hit ensures count a single cache hit instead.
-func (g *candGen) candidatesSharded(ctx context.Context, v *dataset.View, q linalg.Vector, k int) ([]index.Candidate, error) {
-	if err := g.ensureSharded(ctx, v); err != nil {
-		return nil, err
-	}
-	var t1 time.Time
-	if g.tr.enabled() {
-		t1 = g.tr.now()
-	}
-	cands, st, err := g.coord.Candidates(ctx, v, q, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: candidate generation (%s): %w", g.cfg.Name, err)
-	}
-	g.emitQuery(v, cands, st, t1, g.coord.Shards())
-	return cands, nil
-}
-
-// candidatesAxisSharded mirrors candidatesSharded for axis-subspace
-// scans, merging the per-shard KNNAxis partials.
-func (g *candGen) candidatesAxisSharded(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, error) {
-	if err := g.ensureSharded(ctx, v); err != nil {
-		return nil, err
-	}
-	var t1 time.Time
-	if g.tr.enabled() {
-		t1 = g.tr.now()
-	}
-	cands, st, err := g.coord.CandidatesAxis(ctx, v, qaxis, axes, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: candidate generation (%s): %w", g.cfg.Name, err)
-	}
-	g.emitQuery(v, cands, st, t1, g.coord.Shards())
-	return cands, nil
-}
-
-// ensureSharded runs the coordinator's EnsureIndex and classifies its
-// per-shard records into exactly one of: an index_build event (some shard
-// built fresh), an index_derive event (shards derived, none built), or a
-// counted cache hit (everything reused). The event fields match the
-// unsharded path's except Shards, so span trees and /debug/sessions
-// attribute builds identically on both paths.
-func (g *candGen) ensureSharded(ctx context.Context, v *dataset.View) error {
-	var t0 time.Time
-	if g.tr.enabled() {
-		t0 = g.tr.now()
-	}
 	builds, err := g.coord.EnsureIndex(ctx, v, g.cfg)
 	if err != nil {
 		return fmt.Errorf("core: index build (%s): %w", g.cfg.Name, err)
-	}
-	if builds == nil {
-		return nil
 	}
 	g.built = v
 	anyBuilt, anyDerived, parentN := false, false, 0
@@ -361,45 +166,42 @@ func (g *candGen) ensureSharded(ctx context.Context, v *dataset.View) error {
 	switch {
 	case anyBuilt:
 		g.builds++
-		if g.tr.enabled() {
-			g.tr.emit(telemetry.Event{
-				Time:       t0,
-				Type:       telemetry.EventIndexBuild,
-				Major:      g.major,
-				Minor:      g.minor,
-				Stage:      "index/build",
-				Backend:    g.cfg.Name,
-				N:          v.N(),
-				Dim:        v.Dim(),
-				Shards:     len(builds),
-				DurationMS: g.tr.since(t0),
-				Span:       spanPath(g.span, "index_build#"+strconv.Itoa(g.builds)),
-				Parent:     g.span,
-			})
-		}
+		g.emitEnsure(t0, v, false, len(builds), 0)
 	case anyDerived:
 		g.derives++
-		if g.tr.enabled() {
-			g.tr.emit(telemetry.Event{
-				Time:       t0,
-				Type:       telemetry.EventIndexDerive,
-				Major:      g.major,
-				Minor:      g.minor,
-				Stage:      "index/derive",
-				Backend:    g.cfg.Name,
-				ParentN:    parentN,
-				N:          v.N(),
-				Dim:        v.Dim(),
-				Shards:     len(builds),
-				DurationMS: g.tr.since(t0),
-				Span:       spanPath(g.span, "index_derive#"+strconv.Itoa(g.derives)),
-				Parent:     g.span,
-			})
-		}
+		g.emitEnsure(t0, v, true, len(builds), parentN)
 	default:
-		g.hits++
+		g.hits++ // nothing was built or derived; no event
 	}
 	return nil
+}
+
+// emitEnsure emits the index_build or index_derive event of one ensure;
+// ParentN (derivations only) records the size of the index the
+// derivation avoided re-scanning.
+func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, shards, parentN int) {
+	if !g.tr.enabled() {
+		return
+	}
+	typ, stage, spanName, ordinal := telemetry.EventIndexBuild, "index/build", "index_build#", g.builds
+	if derived {
+		typ, stage, spanName, ordinal = telemetry.EventIndexDerive, "index/derive", "index_derive#", g.derives
+	}
+	g.tr.emit(telemetry.Event{
+		Time:       t0,
+		Type:       typ,
+		Major:      g.major,
+		Minor:      g.minor,
+		Stage:      stage,
+		Backend:    g.cfg.Name,
+		ParentN:    parentN,
+		N:          v.N(),
+		Dim:        v.Dim(),
+		Shards:     shards,
+		DurationMS: g.tr.since(t0),
+		Span:       spanPath(g.span, spanName+strconv.Itoa(ordinal)),
+		Parent:     g.span,
+	})
 }
 
 // IndexStats reports the session's candidate-generation counters so far:

@@ -36,12 +36,9 @@ func TestDerivedIndexMatchesFreshCandidates(t *testing.T) {
 				cfg, workers, shards := cfg, workers, shards
 				t.Run(fmt.Sprintf("%s/w%d/p%d", cfg.Name, workers, shards), func(t *testing.T) {
 					mk := func() *candGen {
-						g, err := newCandGen(cfg, workers)
+						g, err := newCandGen(cfg, workers, shard.New(shard.Config{Shards: shards, Workers: workers}))
 						if err != nil {
 							t.Fatal(err)
-						}
-						if shards > 1 {
-							g.coord = shard.New(shard.Config{Shards: shards, Workers: workers})
 						}
 						return g
 					}

@@ -10,30 +10,36 @@ import (
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/linalg"
+	"innsearch/internal/shard"
 )
 
 // TestSelectNearestMatchesFullSort is the property test behind the bounded
 // top-s selection: on random candidate sets salted with duplicate
-// distances, selectNearest's prefix must be byte-identical to the prefix
-// of a full sort under the same (dist, pos) order.
+// distances, shard.SelectNearest's prefix must be byte-identical to the
+// prefix of a full sort under the same (dist, pos) order.
 func TestSelectNearestMatchesFullSort(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(120)
-		cands := make([]cand, n)
+		cands := make([]shard.Cand, n)
 		for i := range cands {
 			// Draw from a small value set so exact-distance ties are common.
-			cands[i] = cand{pos: i, dist: float64(r.Intn(8))}
+			cands[i] = shard.Cand{Pos: i, Dist: float64(r.Intn(8))}
 		}
-		want := append([]cand(nil), cands...)
-		sort.Slice(want, func(a, b int) bool { return candLess(want[a], want[b]) })
+		want := append([]shard.Cand(nil), cands...)
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Dist != want[b].Dist {
+				return want[a].Dist < want[b].Dist
+			}
+			return want[a].Pos < want[b].Pos
+		})
 		s := r.Intn(n + 10) // frequently > n
-		got := append([]cand(nil), cands...)
+		got := append([]shard.Cand(nil), cands...)
 		clamped := s
 		if clamped > n {
 			clamped = n
 		}
-		selectNearest(got, clamped)
+		shard.SelectNearest(got, s)
 		for i := 0; i < clamped; i++ {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (n=%d s=%d) slot %d: %+v, full sort has %+v",
@@ -59,9 +65,10 @@ func TestNearestPositionsEdgeCases(t *testing.T) {
 	full := linalg.FullSpace(2)
 	scr := &searchScratch{}
 	ctx := context.Background()
+	coord := shard.New(shard.Config{Workers: 1})
 
 	for _, s := range []int{0, -3} {
-		got, err := nearestPositions(ctx, 1, v, q, full, s, scr, nil, nil)
+		got, err := nearestPositions(ctx, coord, v, q, full, s, scr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +76,7 @@ func TestNearestPositionsEdgeCases(t *testing.T) {
 			t.Errorf("s=%d: got %v, want empty", s, got)
 		}
 	}
-	got, err := nearestPositions(ctx, 1, v, q, full, 99, scr, nil, nil)
+	got, err := nearestPositions(ctx, coord, v, q, full, 99, scr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +85,7 @@ func TestNearestPositionsEdgeCases(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("s>n: got %v, want %v", got, want)
 	}
-	got, err = nearestPositions(ctx, 1, v, q, full, 3, scr, nil, nil)
+	got, err = nearestPositions(ctx, coord, v, q, full, 3, scr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,17 +53,6 @@ func TestModeAutoPicksDiscriminatingFamily(t *testing.T) {
 	}
 }
 
-func TestLegacyAxisParallelFlagMapsToModeAxis(t *testing.T) {
-	c := Config{AxisParallel: true}.withDefaults(100, 5)
-	if c.Mode != ModeAxis {
-		t.Errorf("mode = %v, want ModeAxis", c.Mode)
-	}
-	c2 := Config{Mode: ModeAuto, AxisParallel: true}.withDefaults(100, 5)
-	if c2.Mode != ModeAuto {
-		t.Errorf("explicit mode overridden: %v", c2.Mode)
-	}
-}
-
 func TestStageFactorPaperFaithful(t *testing.T) {
 	ds, q := clusteredDataset(t, 400, 60, 8, 22)
 	// StageFactor 1 follows the pseudocode literally; the search must

@@ -146,7 +146,8 @@ func BuildProfile(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, s
 // density-grid evaluation and the discrimination scan abort between row
 // shards once ctx is canceled. Parallelism is controlled by opts.Workers.
 func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options) (*VisualProfile, error) {
-	return buildProfile(ctx, ds.View(), q, proj, support, opts, &searchScratch{}, nil, nil)
+	coord := shard.New(shard.Config{Workers: opts.Workers})
+	return buildProfile(ctx, ds.View(), q, proj, support, opts, &searchScratch{}, nil, coord)
 }
 
 // buildProfile is the view-level implementation behind BuildProfile;
@@ -154,7 +155,9 @@ func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vect
 // coordinates come from composing the projection onto the view — the same
 // float-operation order as the eager ProjectRows path, materialized once
 // and shared by the density estimate, the selection passes, and the
-// profile's Points field.
+// profile's Points field. The density partials (extent, spread, lattice)
+// scatter over the coordinator and merge in shard order; at P=1 that is
+// kde.Estimate2DContext bit for bit.
 func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options, scr *searchScratch, gen *candGen, coord *shard.Coordinator) (*VisualProfile, error) {
 	pv, err := v.Compose(proj)
 	if err != nil {
@@ -162,14 +165,7 @@ func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *l
 	}
 	pts := pv.Coords()
 	qp := proj.Project(q)
-	var g *kde.Grid
-	if coord != nil {
-		// Sharded sessions scatter the density partials (extent, spread,
-		// lattice) over the coordinator and merge in shard order.
-		g, err = coord.Estimate2D(ctx, kde.MatrixXY{M: pts}, opts)
-	} else {
-		g, err = kde.Estimate2DContext(ctx, pts, opts)
-	}
+	g, err := coord.Estimate2D(ctx, kde.MatrixXY{M: pts}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: density estimate: %w", err)
 	}
@@ -189,7 +185,7 @@ func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *l
 	if qy > g.MaxY {
 		qy = g.MaxY
 	}
-	disc, err := discriminationScoreContext(ctx, opts.Workers, v, q, proj, support, scr, gen, coord)
+	disc, err := discriminationScoreContext(ctx, coord, v, q, proj, support, scr, gen)
 	if err != nil {
 		return nil, err
 	}

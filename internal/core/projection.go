@@ -28,25 +28,19 @@ import (
 // e.g. the data has fewer than two dimensions of variation left.
 var ErrDegenerateData = errors.New("core: degenerate data for projection search")
 
-// cand is one candidate of a nearest-positions scan.
-type cand struct {
-	pos  int
-	dist float64
-}
-
 // searchScratch holds per-session reusable buffers for the projection
 // search's hot loops. A scratch is single-owner (the session's goroutine);
 // the parallel passes that fill its buffers write index-owned slots only.
 // Every element is overwritten before use, so reuse never changes results.
 type searchScratch struct {
-	cands  []cand
+	cands  []shard.Cand
 	coords []float64
 }
 
 // candBuf returns an n-element candidate buffer.
-func (sc *searchScratch) candBuf(n int) []cand {
+func (sc *searchScratch) candBuf(n int) []shard.Cand {
 	if cap(sc.cands) < n {
-		sc.cands = make([]cand, n)
+		sc.cands = make([]shard.Cand, n)
 	}
 	return sc.cands[:n]
 }
@@ -61,11 +55,13 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 
 // nearestPositions returns the positions of the s points of v closest to
 // q under the projected distance Pdist(·, ·, sub). Both v and q are in
-// the current coordinate system (ambient dimension of sub). The projected
-// distances are computed in parallel (each point writes its own slot, so
-// the ranking is identical at any worker count); the bounded top-s
-// selection stays serial. No per-point projection is materialized — each
-// distance reads the view's row in place.
+// the current coordinate system (ambient dimension of sub). The scan runs
+// through the coordinator as per-shard top-s partials merged under the
+// strict (dist, pos) order — the member set is exactly the full scan's at
+// any P, because every distance comes from the same kernel, and at P=1
+// the one partial is the full scan (see shard.Coordinator.Nearest). No
+// per-point projection is materialized — each distance reads the view's
+// row in place.
 //
 // When a candidate generator is configured (gen non-nil) and the scan is
 // a full-space one (sub.Identity(), where projected distance IS plain L2
@@ -75,13 +71,8 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // top-s, so the re-ranked prefix is byte-identical to the full scan;
 // approximate backends trade that guarantee for work (see index.Backend).
 // Narrowed-subspace scans never consult the backend: its L2 ranking would
-// be wrong there.
-//
-// With a shard coordinator (coord non-nil) the scan runs as per-shard
-// top-s partials merged under the same strict order — the member set is
-// exactly the full scan's, because every distance comes from the same
-// kernel. The candidate-generator path likewise scatters over per-shard
-// backends through the coordinator (see candGen.candidates).
+// be wrong there. The backends themselves are per-shard, built and
+// queried through the coordinator (see candGen.candidates).
 //
 // Beyond the ambient identity scan, the generator is also consulted when
 // the whole scan resolves to an axis-aligned mask over an ancestor
@@ -92,7 +83,7 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // to no route — arbitrary-direction frames — run the exact kernels with
 // no index at all, which is strictly cheaper than building one that
 // cannot be consulted.
-func nearestPositions(ctx context.Context, workers int, v *dataset.View, q linalg.Vector, sub *linalg.Subspace, s int, scr *searchScratch, gen *candGen, coord *shard.Coordinator) ([]int, error) {
+func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.View, q linalg.Vector, sub *linalg.Subspace, s int, scr *searchScratch, gen *candGen) ([]int, error) {
 	n := v.N()
 	if s < 0 {
 		s = 0
@@ -108,7 +99,7 @@ func nearestPositions(ctx context.Context, workers int, v *dataset.View, q linal
 			// Ambient full-space scan: the backend's L2 ranking is the
 			// engine's ranking.
 			idxCands, err = gen.candidates(ctx, v, q, s)
-		} else if gen.supportsAxis() {
+		} else if gen.axis {
 			if origin, axes, ok := axisScanRoute(v, sub); ok {
 				// qp is the query in the scanned subspace's coordinates —
 				// exactly the coordinates KNNAxis measures along axes.
@@ -119,47 +110,30 @@ func nearestPositions(ctx context.Context, workers int, v *dataset.View, q linal
 			return nil, err
 		}
 		if len(idxCands) >= s {
-			cands := scr.candBuf(n)[:len(idxCands)]
+			cands := scr.candBuf(len(idxCands))
 			for i, c := range idxCands {
-				cands[i] = cand{pos: c.Pos, dist: sub.ProjDistTo(qp, v.Point(c.Pos))}
+				cands[i] = shard.Cand{Pos: c.Pos, Dist: sub.ProjDistTo(qp, v.Point(c.Pos))}
 			}
-			selectNearest(cands, s)
-			out := make([]int, s)
-			for i := 0; i < s; i++ {
-				out[i] = cands[i].pos
-			}
-			return out, nil
+			shard.SelectNearest(cands, s)
+			return positionsOf(cands[:s]), nil
 		}
 		// A backend returning fewer than s candidates falls through to the
 		// exact scan rather than silently shrinking the support.
 	}
-	if coord != nil {
-		cs, err := coord.Nearest(ctx, v, sub, qp, s)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, len(cs))
-		for i, c := range cs {
-			out[i] = c.Pos
-		}
-		return out, nil
-	}
-	cands := scr.candBuf(n)
-	err := parallel.ForShards(ctx, workers, n, func(_ context.Context, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			cands[i] = cand{pos: i, dist: sub.ProjDistTo(qp, v.Point(i))}
-		}
-		return nil
-	})
+	cs, err := coord.Nearest(ctx, v, sub, qp, s)
 	if err != nil {
 		return nil, err
 	}
-	selectNearest(cands, s)
-	out := make([]int, s)
-	for i := 0; i < s; i++ {
-		out[i] = cands[i].pos
+	return positionsOf(cs), nil
+}
+
+// positionsOf returns the row positions of cands, in order.
+func positionsOf(cands []shard.Cand) []int {
+	out := make([]int, len(cands))
+	for i, c := range cands {
+		out[i] = c.Pos
 	}
-	return out, nil
+	return out
 }
 
 // axisScanRoute resolves a projected-subspace scan to an equivalent
@@ -193,65 +167,6 @@ func axisScanRoute(v *dataset.View, sub *linalg.Subspace) (origin *dataset.View,
 			axes[i] = paxes[a]
 		}
 		cur = base
-	}
-}
-
-// candLess is the scan's strict total order: ascending distance with
-// ascending-position tie-breaks. Positions are distinct, so any two
-// candidates compare unequal — which is what makes every correct top-s
-// selection produce exactly the prefix a full sort would.
-func candLess(a, b cand) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.pos < b.pos
-}
-
-// siftDown restores the max-heap property (candLess-greatest at the root)
-// for the subtree rooted at i over h[:n].
-func siftDown(h []cand, i, n int) {
-	for {
-		kid := 2*i + 1
-		if kid >= n {
-			return
-		}
-		if r := kid + 1; r < n && candLess(h[kid], h[r]) {
-			kid = r
-		}
-		if !candLess(h[i], h[kid]) {
-			return
-		}
-		h[i], h[kid] = h[kid], h[i]
-		i = kid
-	}
-}
-
-// selectNearest reorders cands so that cands[:s] holds the s smallest
-// candidates under candLess in ascending order — byte-identical to the
-// prefix of a full sort, found in O(n log s) with a bounded max-heap
-// instead of the former O(n log n) sort.Slice over all n candidates.
-func selectNearest(cands []cand, s int) {
-	n := len(cands)
-	if s <= 0 {
-		return
-	}
-	if s > n {
-		s = n
-	}
-	h := cands[:s]
-	for i := s/2 - 1; i >= 0; i-- {
-		siftDown(h, i, s)
-	}
-	for i := s; i < n; i++ {
-		if candLess(cands[i], h[0]) {
-			h[0], cands[i] = cands[i], h[0]
-			siftDown(h, 0, s)
-		}
-	}
-	// Heap-sort the surviving s into ascending candLess order.
-	for end := s - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h, 0, end)
 	}
 }
 
@@ -324,19 +239,12 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 	}
 
 	// fullCov is the fast path's Σ of the whole view, memoized on the view
-	// and shared by every stage, minor iteration, and projection family
-	// that scores directions in this coordinate system. With a shard
-	// coordinator the moments come from the scattered two-pass kernels
-	// (merged in shard order) instead of the view's own single pass.
+	// (in the coordinator's P slot) and shared by every stage, minor
+	// iteration, projection family and session that scores directions in
+	// this coordinate system.
 	var fullCov *linalg.Matrix
 	if !cfg.Exact {
-		var st *dataset.ViewStats
-		var err error
-		if cfg.coord != nil {
-			st, err = cfg.coord.Stats(ctx, v)
-		} else {
-			st, err = v.Stats(ctx, workers)
-		}
+		st, err := cfg.coord.Stats(ctx, v)
 		if err != nil {
 			return nil, fmt.Errorf("core: view stats: %w", err)
 		}
@@ -496,11 +404,17 @@ type ProjectionSearch struct {
 	// Sessions set it; standalone callers keep the exact full scan.
 	gen *candGen
 
-	// coord, when non-nil, is the owning session's shard coordinator
-	// (Config.Shards): top-s scans and view moments run as scattered
-	// partials merged in shard order. Sessions set it; standalone callers
-	// keep the single-partition kernels.
+	// coord is the shard coordinator top-s scans and view moments run
+	// through: the owning session's (Config.Shards), or a one-shard
+	// coordinator over Workers for standalone calls (see standalone).
 	coord *shard.Coordinator
+}
+
+// standalone equips cfg for a call outside a session: one shard over the
+// caller's worker budget — the unsharded engine.
+func (cfg ProjectionSearch) standalone() ProjectionSearch {
+	cfg.coord = shard.New(shard.Config{Workers: cfg.Workers})
+	return cfg
 }
 
 // stageTrace is the session context a projection search stamps onto its
@@ -521,7 +435,7 @@ type stageTrace struct {
 // 2-dimensional projection E_proj remains. It returns that projection (a
 // subspace of the current coordinate space).
 func FindQueryCenteredProjection(ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch) (*linalg.Subspace, error) {
-	return findProjectionDim(context.Background(), ds.View(), q, cfg, 2, &searchScratch{})
+	return FindQueryCenteredProjectionDimContext(context.Background(), ds, q, cfg, 2)
 }
 
 // FindQueryCenteredProjectionContext is FindQueryCenteredProjection with
@@ -529,7 +443,7 @@ func FindQueryCenteredProjection(ds *dataset.Dataset, q linalg.Vector, cfg Proje
 // stages (and inside the parallel distance/variance sweeps) and returns
 // the context's error once canceled.
 func FindQueryCenteredProjectionContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch) (*linalg.Subspace, error) {
-	return findProjectionDim(ctx, ds.View(), q, cfg, 2, &searchScratch{})
+	return FindQueryCenteredProjectionDimContext(ctx, ds, q, cfg, 2)
 }
 
 // FindQueryCenteredProjectionDim is FindQueryCenteredProjection with a
@@ -537,13 +451,13 @@ func FindQueryCenteredProjectionContext(ctx context.Context, ds *dataset.Dataset
 // instead of 2. The visualizable target of the interactive system is 2;
 // the automated projected-NN baseline may prefer wider subspaces.
 func FindQueryCenteredProjectionDim(ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch, target int) (*linalg.Subspace, error) {
-	return findProjectionDim(context.Background(), ds.View(), q, cfg, target, &searchScratch{})
+	return FindQueryCenteredProjectionDimContext(context.Background(), ds, q, cfg, target)
 }
 
 // FindQueryCenteredProjectionDimContext is FindQueryCenteredProjectionDim
 // with cooperative cancellation (see FindQueryCenteredProjectionContext).
 func FindQueryCenteredProjectionDimContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch, target int) (*linalg.Subspace, error) {
-	return findProjectionDim(ctx, ds.View(), q, cfg, target, &searchScratch{})
+	return findProjectionDim(ctx, ds.View(), q, cfg.standalone(), target, &searchScratch{})
 }
 
 // findProjectionDim is the view-level implementation behind the
@@ -596,14 +510,12 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 		if tracing {
 			t0 = cfg.trace.tr.now()
 			stageSpan = cfg.trace.span + "/d" + strconv.Itoa(next)
-			if cfg.coord != nil {
-				cfg.coord.SetSpan(stageSpan)
-			}
+			cfg.coord.SetSpan(stageSpan)
 			if cfg.gen != nil {
 				cfg.gen.span = stageSpan
 			}
 		}
-		members, err := nearestPositions(ctx, cfg.Workers, v, q, ep, stageSupport, scr, cfg.gen, cfg.coord)
+		members, err := nearestPositions(ctx, cfg.coord, v, q, ep, stageSupport, scr, cfg.gen)
 		if err != nil {
 			return nil, err
 		}
@@ -642,15 +554,15 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 // the nearest points *within* the projection are tight in any view, good
 // or bad.
 func DiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int) float64 {
-	score, _ := discriminationScoreContext(context.Background(), 1, ds.View(), q, proj, support, &searchScratch{}, nil, nil)
+	score, _ := discriminationScoreContext(context.Background(), shard.New(shard.Config{Workers: 1}), ds.View(), q, proj, support, &searchScratch{}, nil)
 	return score
 }
 
-// discriminationScoreContext is DiscriminationScore with cancellation, a
-// worker count for the full-space neighbor scan, and an optional
+// discriminationScoreContext is DiscriminationScore with cancellation, the
+// coordinator running the full-space neighbor scan, and an optional
 // candidate generator pruning that scan.
-func discriminationScoreContext(ctx context.Context, workers int, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, scr *searchScratch, gen *candGen, coord *shard.Coordinator) (float64, error) {
-	members, err := nearestPositions(ctx, workers, v, q, linalg.FullSpace(v.Dim()), support, scr, gen, coord)
+func discriminationScoreContext(ctx context.Context, coord *shard.Coordinator, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, scr *searchScratch, gen *candGen) (float64, error) {
+	members, err := nearestPositions(ctx, coord, v, q, linalg.FullSpace(v.Dim()), support, scr, gen)
 	if err != nil {
 		return 0, err
 	}
@@ -666,7 +578,7 @@ func discriminationScoreContext(ctx context.Context, workers int, v *dataset.Vie
 // expressive power (ModeAuto).
 func HoldoutDiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int) float64 {
 	v := ds.View()
-	all, err := nearestPositions(context.Background(), 1, v, q, linalg.FullSpace(v.Dim()), 2*support, &searchScratch{}, nil, nil)
+	all, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), v, q, linalg.FullSpace(v.Dim()), 2*support, &searchScratch{}, nil)
 	if err != nil {
 		return 0
 	}

@@ -9,6 +9,7 @@ import (
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/linalg"
+	"innsearch/internal/shard"
 )
 
 // clusterAndNoise builds a dataset with a tight cluster in dims {0, 1}
@@ -49,7 +50,7 @@ func TestNearestPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := linalg.FullSpace(2)
-	got, err := nearestPositions(context.Background(), 1, ds.View(), linalg.Vector{0, 0}, sub, 2, &searchScratch{}, nil, nil)
+	got, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), ds.View(), linalg.Vector{0, 0}, sub, 2, &searchScratch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +58,18 @@ func TestNearestPositions(t *testing.T) {
 		t.Errorf("nearest = %v", got)
 	}
 	// s > n clamps.
-	if got, err := nearestPositions(context.Background(), 1, ds.View(), linalg.Vector{0, 0}, sub, 99, &searchScratch{}, nil, nil); err != nil || len(got) != 4 {
+	if got, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), ds.View(), linalg.Vector{0, 0}, sub, 99, &searchScratch{}, nil); err != nil || len(got) != 4 {
 		t.Errorf("clamped = %v (err %v)", got, err)
 	}
 }
 
 func TestClusterSubspaceAxisParallel(t *testing.T) {
 	ds, q := clusterAndNoise(t, 500, 6, 1)
-	members, err := nearestPositions(context.Background(), 1, ds.View(), q, linalg.FullSpace(6), 60, &searchScratch{}, nil, nil)
+	members, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), ds.View(), q, linalg.FullSpace(6), 60, &searchScratch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1, AxisParallel: true}, ds.View(), members, 2, linalg.FullSpace(6), &searchScratch{})
+	sub, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1, AxisParallel: true}.standalone(), ds.View(), members, 2, linalg.FullSpace(6), &searchScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestClusterSubspaceArbitraryFindsTightDirections(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	sub, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}, ds.View(), members, 1, linalg.FullSpace(4), &searchScratch{})
+	sub, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}.standalone(), ds.View(), members, 1, linalg.FullSpace(4), &searchScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +127,10 @@ func TestClusterSubspaceArbitraryFindsTightDirections(t *testing.T) {
 
 func TestClusterSubspaceErrors(t *testing.T) {
 	ds, _ := clusterAndNoise(t, 50, 4, 3)
-	if _, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}, ds.View(), []int{0, 1}, 9, linalg.FullSpace(4), &searchScratch{}); !errors.Is(err, ErrDegenerateData) {
+	if _, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}.standalone(), ds.View(), []int{0, 1}, 9, linalg.FullSpace(4), &searchScratch{}); !errors.Is(err, ErrDegenerateData) {
 		t.Errorf("l > dim: %v", err)
 	}
-	if _, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}, ds.View(), nil, 2, linalg.FullSpace(4), &searchScratch{}); err == nil {
+	if _, err := clusterSubspace(context.Background(), ProjectionSearch{Workers: 1}.standalone(), ds.View(), nil, 2, linalg.FullSpace(4), &searchScratch{}); err == nil {
 		t.Error("empty members accepted")
 	}
 }

@@ -43,15 +43,8 @@ type Config struct {
 	// raised to the data dimensionality when smaller, and clamped to N.
 	Support int
 	// Mode selects the projection family (arbitrary by default; see
-	// ProjectionMode). The legacy AxisParallel flag forces ModeAxis when
-	// Mode is left at its zero value.
+	// ProjectionMode).
 	Mode ProjectionMode
-	// AxisParallel restricts projections to original attributes.
-	//
-	// Deprecated: set Mode to ModeAxis instead. The flag is honored for
-	// one more release (only when Mode is left at its zero value, mapped
-	// by withDefaults) and will then be removed.
-	AxisParallel bool
 	// Workers caps the number of goroutines the session uses for its
 	// parallel hot paths (density-grid evaluation, covariance
 	// accumulation, projection scoring, per-point region membership).
@@ -88,12 +81,13 @@ type Config struct {
 	IndexCache *index.Cache
 	// Shards is P, the number of row-disjoint partitions the session's
 	// stage kernels (moment statistics, top-s scans, density lattices,
-	// candidate generation) scatter over through a shard coordinator.
-	// Values ≤ 1 (the default) keep the single-partition kernels — that
-	// path is byte-identical to prior releases. Any fixed P ≥ 2 is
-	// deterministic across runs and worker counts and agrees with P=1 to
-	// ≤ 1e-10 relative (identical top-s member sets); see internal/shard
-	// for the partial/merge contract.
+	// candidate generation) scatter over. Every session runs through a
+	// shard coordinator; values ≤ 1 (the default) mean P=1, one
+	// full-range shard, which is the single-partition engine bit for bit
+	// and emits no scatter telemetry. Any fixed P ≥ 2 is deterministic
+	// across runs and worker counts and agrees with P=1 to ≤ 1e-10
+	// relative (identical top-s member sets); see internal/shard for the
+	// partial/merge contract.
 	Shards int
 	// GridSize is the density grid resolution p (default 48).
 	GridSize int
@@ -125,9 +119,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(n, d int) Config {
-	if c.Mode == ModeArbitrary && c.AxisParallel {
-		c.Mode = ModeAxis
-	}
 	if c.Support <= 0 {
 		c.Support = d
 	}
@@ -241,9 +232,9 @@ type Session struct {
 	// index is configured — the zero-overhead full-scan path.
 	gen *candGen
 
-	// coord is the scatter-gather coordinator (Config.Shards ≥ 2), nil on
-	// the single-partition path — which therefore stays byte-identical to
-	// a coordinator-free build.
+	// coord is the scatter-gather coordinator every stage runs through,
+	// over P = max(1, Config.Shards) shards; at P=1 it is the
+	// single-partition engine.
 	coord *shard.Coordinator
 
 	prevTop   []int
@@ -292,7 +283,13 @@ func NewSession(ds *dataset.Dataset, query []float64, user User, cfg Config) (*S
 		return nil, errors.New("core: nil user")
 	}
 	cfg = cfg.withDefaults(ds.N(), ds.Dim())
-	gen, err := newCandGen(cfg.Index, cfg.Workers)
+	coord := shard.New(shard.Config{
+		Shards:  cfg.Shards,
+		Workers: cfg.Workers,
+		Tracer:  cfg.Tracer,
+		Cache:   cfg.IndexCache,
+	})
+	gen, err := newCandGen(cfg.Index, cfg.Workers, coord)
 	if err != nil {
 		return nil, err
 	}
@@ -306,19 +303,10 @@ func NewSession(ds *dataset.Dataset, query []float64, user User, cfg Config) (*S
 		probIters: make(map[int]int),
 		originalN: ds.N(),
 		gen:       gen,
+		coord:     coord,
 	}
-	if cfg.Shards > 1 {
-		s.coord = shard.New(shard.Config{
-			Shards:  cfg.Shards,
-			Workers: cfg.Workers,
-			Tracer:  cfg.Tracer,
-			Cache:   cfg.IndexCache,
-		})
-	}
-	if s.gen != nil {
-		s.gen.tr = s.tr
-		s.gen.coord = s.coord
-		s.gen.cache = cfg.IndexCache
+	if gen != nil {
+		gen.tr = s.tr
 	}
 	return s, nil
 }
@@ -806,9 +794,7 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 // generator's events under the given stage span. Only called while
 // tracing; the untraced session never builds span strings.
 func (s *Session) setStageSpan(span string) {
-	if s.coord != nil {
-		s.coord.SetSpan(span)
-	}
+	s.coord.SetSpan(span)
 	if s.gen != nil {
 		s.gen.span = span
 	}

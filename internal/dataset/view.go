@@ -47,11 +47,19 @@ type View struct {
 	parent     *View
 	parentRows []int
 
-	// statsMu guards the lazily memoized first/second moments; see Stats.
-	// A mutex rather than a sync.Once so that a context-canceled attempt
-	// does not poison the memo — the next caller simply retries.
+	// statsMu guards the lazily memoized first/second moments, one slot
+	// per row-partition count P; see ShardedStats. A mutex rather than a
+	// sync.Once so that a context-canceled attempt does not poison the
+	// memo — the next caller simply retries.
 	statsMu sync.Mutex
-	stats   *ViewStats
+	stats   []statsSlot
+}
+
+// statsSlot is one memoized ViewStats and the partition count P whose
+// moment kernel produced it.
+type statsSlot struct {
+	p  int
+	st *ViewStats
 }
 
 // ViewStats are the memoized first and second moments of a view's rows:
@@ -74,17 +82,40 @@ type ViewStats struct {
 // stays valid even after an arena view's coordinate buffer is reclaimed,
 // as long as the base's stats were computed first. Narrowing yields a
 // fresh view, so pruning invalidates the memo by construction. Safe for
-// concurrent callers; the memo is only written on success.
+// concurrent callers; the memo is only written on success. Stats is the
+// P=1 slot of ShardedStats.
 func (v *View) Stats(ctx context.Context, workers int) (*ViewStats, error) {
-	v.statsMu.Lock()
-	defer v.statsMu.Unlock()
-	if v.stats != nil {
-		return v.stats, nil
-	}
-	var st *ViewStats
-	if v.base != nil {
-		bst, err := v.base.Stats(ctx, workers)
+	return v.ShardedStats(ctx, 1, func(ctx context.Context, a *View) (*ViewStats, error) {
+		m := a.Coords()
+		cov, err := m.CovarianceContext(ctx, workers)
 		if err != nil {
+			return nil, err
+		}
+		return &ViewStats{Mean: m.Mean(), Cov: cov}, nil
+	})
+}
+
+// ShardedStats is Stats for a P-way row partition: ambient views compute
+// their moments with the given kernel (the P-shard scatter of
+// ColumnSums/CenteredMoment), projected views pull their base's slot P
+// through the projection. Each P has its own memo slot on the view,
+// shared by every caller — so sessions over one store share the root
+// view's moments at their partition count, and the memo is freed with
+// the view. Different P agree only to ≤ 1e-10 relative, which is why
+// they never share a slot. The kernel runs outside the memo lock;
+// concurrent first callers may each run it, and all of them get the
+// pointer published first.
+func (v *View) ShardedStats(ctx context.Context, p int, moments func(context.Context, *View) (*ViewStats, error)) (*ViewStats, error) {
+	v.statsMu.Lock()
+	st := v.memoized(p)
+	v.statsMu.Unlock()
+	if st != nil {
+		return st, nil
+	}
+	var err error
+	if v.base != nil {
+		var bst *ViewStats
+		if bst, err = v.base.ShardedStats(ctx, p, moments); err != nil {
 			return nil, err
 		}
 		cov, err := v.proj.PullThroughCov(bst.Cov)
@@ -92,16 +123,27 @@ func (v *View) Stats(ctx context.Context, workers int) (*ViewStats, error) {
 			return nil, err
 		}
 		st = &ViewStats{Mean: v.proj.Project(bst.Mean), Cov: cov}
-	} else {
-		m := v.Coords()
-		cov, err := m.CovarianceContext(ctx, workers)
-		if err != nil {
-			return nil, err
-		}
-		st = &ViewStats{Mean: m.Mean(), Cov: cov}
+	} else if st, err = moments(ctx, v); err != nil {
+		return nil, err
 	}
-	v.stats = st
+	v.statsMu.Lock()
+	defer v.statsMu.Unlock()
+	if prev := v.memoized(p); prev != nil {
+		return prev, nil
+	}
+	v.stats = append(v.stats, statsSlot{p: p, st: st})
 	return st, nil
+}
+
+// memoized returns the memo slot for partition count p, or nil. The
+// caller holds statsMu.
+func (v *View) memoized(p int) *ViewStats {
+	for _, s := range v.stats {
+		if s.p == p {
+			return s.st
+		}
+	}
+	return nil
 }
 
 // N returns the number of rows visible through the view.

@@ -18,16 +18,17 @@ import (
 // Config tunes a Coordinator.
 type Config struct {
 	// Shards is P, the number of row-disjoint partitions every stage
-	// scatters over. Values ≤ 1 are legal (the coordinator degenerates to
-	// one full-range shard), but sessions bypass the coordinator entirely
-	// at Shards ≤ 1 so the legacy single-partition path stays byte-level
-	// identical.
+	// scatters over. Values ≤ 1 mean P=1: one full-range shard, the
+	// engine's unsharded path — byte-identical to the single-partition
+	// kernels, sharing View.Stats' memo, and emitting no scatter
+	// telemetry.
 	Shards int
 	// Workers bounds the goroutines running shard partials concurrently;
 	// ≤ 0 means GOMAXPROCS. Worker count never affects results — the
 	// partition depends only on (rows, Shards) and merges are serial.
 	Workers int
-	// Tracer, when non-nil, receives shard_scatter / shard_gather events.
+	// Tracer, when non-nil, receives shard_scatter / shard_gather events
+	// (only at P ≥ 2; a single shard has nothing to scatter).
 	Tracer telemetry.Tracer
 	// Cache, when non-nil, shares built per-shard index backends across
 	// sessions on the same view generation.
@@ -44,11 +45,6 @@ type Coordinator struct {
 	tr      telemetry.Tracer
 	cache   *index.Cache
 
-	// stats memoizes per-view statistics for the session's view chain —
-	// the sharded mirror of View.Stats' own memo, needed here because the
-	// sharded moments must not fall back to the view's unsharded pass.
-	stats map[*dataset.View]*dataset.ViewStats
-
 	// idxView/idxShards pin the shard set whose index backends are built,
 	// so candidate queries reuse builds until the view changes.
 	idxView   *dataset.View
@@ -61,6 +57,10 @@ type Coordinator struct {
 	span string
 	seq  int
 
+	// near holds one reused top-s distance buffer per shard slot, so the
+	// nearest stage allocates O(k) per call instead of O(rows).
+	near [][]Cand
+
 	// mkShards overrides shard construction in tests (e.g. to inject a
 	// blocking shard and prove mid-scatter cancellation).
 	mkShards func(v *dataset.View, xy kde.XYSource, n int) []Shard
@@ -68,16 +68,17 @@ type Coordinator struct {
 
 // New returns a coordinator for cfg.
 func New(cfg Config) *Coordinator {
+	p := max(cfg.Shards, 1)
 	return &Coordinator{
-		p:       cfg.Shards,
+		p:       p,
 		workers: cfg.Workers,
 		tr:      cfg.Tracer,
 		cache:   cfg.Cache,
-		stats:   make(map[*dataset.View]*dataset.ViewStats),
+		near:    make([][]Cand, p),
 	}
 }
 
-// Shards returns P as configured.
+// Shards returns P (at least 1).
 func (c *Coordinator) Shards() int { return c.p }
 
 // SetSpan sets the parent span subsequent scatters link under, "" to
@@ -88,52 +89,52 @@ func (c *Coordinator) SetSpan(parent string) { c.span = parent }
 // shardsFor builds the stage's shard set: min(P, n) windows cut by
 // parallel.ShardBounds — a function of (n, P) only, never of workers, so
 // the partition (and therefore every merge) is identical across runs and
-// worker counts.
+// worker counts. Each shard gets an equal share of the worker budget for
+// its own row sweeps, which only matters when P is below the budget.
 func (c *Coordinator) shardsFor(v *dataset.View, xy kde.XYSource, n int) []Shard {
 	if c.mkShards != nil {
 		return c.mkShards(v, xy, n)
 	}
-	p := c.p
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
+	p := max(min(c.p, n), 1)
+	inner := max(parallel.Workers(c.workers)/p, 1)
 	out := make([]Shard, p)
 	for i := range out {
 		lo, hi := parallel.ShardBounds(n, p, i)
-		out[i] = NewLocal(i, lo, hi, v, xy)
+		out[i] = &Local{id: i, lo: lo, hi: hi, view: v, xy: xy, workers: inner, near: &c.near[i]}
 	}
 	return out
 }
 
 // scatter fans run out over the shards with the session's worker budget
-// and waits for all of them. Telemetry: one scatter-stage span per call
-// with one shard span per shard — a shard_scatter annotation before the
-// fan-out, then, after the barrier in ascending shard order (the merge
-// order), one shard_gather span end per shard carrying the partial's
-// wall time, then the stage's own span end, so a trace reader sees
+// and waits for all of them. Telemetry (P ≥ 2 only: a one-shard
+// coordinator is the unsharded engine and traces like it): one
+// scatter-stage span per call with one shard span per shard — a
+// shard_scatter annotation before the fan-out, then, after the barrier
+// in ascending shard order (the merge order), one shard_gather span end
+// per shard carrying the partial's wall time, then the stage's own span
+// end, so a trace reader sees
 // scatter → gather·P → span per sharded stage. Everything is emitted
 // from the calling goroutine, so injected single-goroutine tracer clocks
 // stay safe; the per-shard durations are measured with the real clock
 // inside the workers (the only non-deterministic field of the stream).
 func (c *Coordinator) scatter(ctx context.Context, stage string, shards []Shard, n int, run func(ctx context.Context, s Shard) error) error {
-	var span telemetry.Span
-	if c.tr != nil {
-		c.seq++
-		id := stage + "#" + strconv.Itoa(c.seq)
-		if c.span != "" {
-			id = c.span + "/" + id
-		}
-		span = telemetry.StartSpan(c.tr, id, c.span)
-		span.Annotate(telemetry.Event{
-			Type:   telemetry.EventShardScatter,
-			Stage:  stage,
-			Shards: len(shards),
-			N:      n,
+	if c.tr == nil || c.p == 1 {
+		return parallel.For(ctx, c.workers, len(shards), func(ctx context.Context, i int) error {
+			return run(ctx, shards[i])
 		})
 	}
+	c.seq++
+	id := stage + "#" + strconv.Itoa(c.seq)
+	if c.span != "" {
+		id = c.span + "/" + id
+	}
+	span := telemetry.StartSpan(c.tr, id, c.span)
+	span.Annotate(telemetry.Event{
+		Type:   telemetry.EventShardScatter,
+		Stage:  stage,
+		Shards: len(shards),
+		N:      n,
+	})
 	durs := make([]time.Duration, len(shards))
 	err := parallel.For(ctx, c.workers, len(shards), func(ctx context.Context, i int) error {
 		start := time.Now()
@@ -144,57 +145,37 @@ func (c *Coordinator) scatter(ctx context.Context, stage string, shards []Shard,
 	if err != nil {
 		return err
 	}
-	if c.tr != nil {
-		for i, s := range shards {
-			lo, hi := s.Rows()
-			span.ChildEnd("sh"+strconv.Itoa(s.ID()), telemetry.Event{
-				Type:       telemetry.EventShardGather,
-				Stage:      stage,
-				Shard:      s.ID(),
-				Shards:     len(shards),
-				N:          hi - lo,
-				DurationMS: float64(durs[i]) / float64(time.Millisecond),
-			})
-		}
-		span.End(telemetry.Event{
-			Type:   telemetry.EventSpan,
-			Stage:  stage,
-			Shards: len(shards),
-			N:      n,
+	for i, s := range shards {
+		lo, hi := s.Rows()
+		span.ChildEnd("sh"+strconv.Itoa(s.ID()), telemetry.Event{
+			Type:       telemetry.EventShardGather,
+			Stage:      stage,
+			Shard:      s.ID(),
+			Shards:     len(shards),
+			N:          hi - lo,
+			DurationMS: float64(durs[i]) / float64(time.Millisecond),
 		})
 	}
+	span.End(telemetry.Event{
+		Type:   telemetry.EventSpan,
+		Stage:  stage,
+		Shards: len(shards),
+		N:      n,
+	})
 	return nil
 }
 
-// Stats is the sharded mirror of View.Stats: projected views pull their
-// base's statistics through the projection (no row data touched), ambient
-// views run the two-pass scattered moment kernels. Results are memoized
-// per view, like the view's own memo.
+// Stats is the sharded View.Stats, memoized on the view itself in the
+// slot for this coordinator's P (View.ShardedStats), so every session
+// sharing a view shares its moments. At P=1 it is View.Stats — the same
+// pointer, computed by the view's parallel single-pass kernel. At P ≥ 2
+// ambient views run the two-pass scattered moment kernels and projected
+// views pull their base's P-slot through the projection.
 func (c *Coordinator) Stats(ctx context.Context, v *dataset.View) (*dataset.ViewStats, error) {
-	if st, ok := c.stats[v]; ok {
-		return st, nil
+	if c.p == 1 {
+		return v.Stats(ctx, c.workers)
 	}
-	base, proj := v.Base()
-	var st *dataset.ViewStats
-	if base != nil {
-		bst, err := c.Stats(ctx, base)
-		if err != nil {
-			return nil, err
-		}
-		cov, err := proj.PullThroughCov(bst.Cov)
-		if err != nil {
-			return nil, err
-		}
-		st = &dataset.ViewStats{Mean: proj.Project(bst.Mean), Cov: cov}
-	} else {
-		var err error
-		st, err = c.momentStats(ctx, v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.stats[v] = st
-	return st, nil
+	return v.ShardedStats(ctx, c.p, c.momentStats)
 }
 
 // momentStats runs the two scattered moment passes: per-shard column sums
@@ -240,9 +221,10 @@ func (c *Coordinator) momentStats(ctx context.Context, v *dataset.View) (*datase
 }
 
 // Nearest scatter-gathers the top-s stage: per-shard exact top-k under
-// the strict (dist, pos) order, merged by re-sorting the ≤ P·k survivors
-// under the same order and truncating — the member set is exactly the
+// the strict (dist, pos) order, merged by selecting the k smallest of the
+// ≤ P·k survivors under the same order — the member set is exactly the
 // unsharded top-k because every distance is computed by the same kernel.
+// One shard's partial is the answer as is.
 func (c *Coordinator) Nearest(ctx context.Context, v *dataset.View, sub *linalg.Subspace, qp linalg.Vector, k int) ([]Cand, error) {
 	n := v.N()
 	shards := c.shardsFor(v, nil, n)
@@ -258,15 +240,16 @@ func (c *Coordinator) Nearest(ctx context.Context, v *dataset.View, sub *linalg.
 	if err != nil {
 		return nil, err
 	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
 	var all []Cand
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(a, b int) bool { return candLess(all[a], all[b]) })
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
+	k = max(min(k, len(all)), 0)
+	SelectNearest(all, k)
+	return all[:k], nil
 }
 
 // Estimate2D scatter-gathers the density stage over src's rows: extent →
@@ -332,9 +315,11 @@ func (c *Coordinator) Estimate2D(ctx context.Context, src kde.XYSource, opts kde
 	if err != nil {
 		return nil, err
 	}
-	lattice, err := kde.MergeLattices(parts)
-	if err != nil {
-		return nil, err
+	lattice := parts[0] // one shard's partial is the merge as is
+	if len(parts) > 1 {
+		if lattice, err = kde.MergeLattices(parts); err != nil {
+			return nil, err
+		}
 	}
 	if g.Binned {
 		if err := kde.FinishBinned(ctx, g, lattice, opts.Workers); err != nil {
@@ -493,7 +478,7 @@ func (c *Coordinator) deriveIndex(ctx context.Context, v *dataset.View, cfg inde
 		for i := range childRows {
 			childRows[i] = rows[w.clo+i] - plo
 		}
-		child := windowSource{v: v, lo: w.clo, hi: w.chi}
+		child := source(v, w.clo, w.chi)
 		start := time.Now()
 		hit := false
 		if c.cache != nil {
@@ -532,57 +517,33 @@ func (c *Coordinator) deriveIndex(ctx context.Context, v *dataset.View, cfg inde
 
 // Candidates scatter-gathers the candidate-generation stage over the
 // backends EnsureIndex built: per-shard KNN with globally translated
-// positions, merged under (dist, pos) and truncated to k. Per-shard query
-// stats accumulate in shard order.
+// positions, merged as candidates describes.
 func (c *Coordinator) Candidates(ctx context.Context, v *dataset.View, q linalg.Vector, k int) ([]index.Candidate, index.Stats, error) {
-	if c.idxView != v || c.idxShards == nil {
-		return nil, index.Stats{}, fmt.Errorf("shard: Candidates before EnsureIndex for this view")
-	}
-	shards := c.idxShards
-	parts := make([][]index.Candidate, len(shards))
-	stats := make([]index.Stats, len(shards))
-	err := c.scatter(ctx, "candidates", shards, v.N(), func(ctx context.Context, s Shard) error {
-		cs, st, err := s.Candidates(ctx, q, k)
-		if err != nil {
-			return err
-		}
-		parts[s.ID()], stats[s.ID()] = cs, st
-		return nil
+	return c.candidates(ctx, v, k, func(ctx context.Context, s Shard) ([]index.Candidate, index.Stats, error) {
+		return s.Candidates(ctx, q, k)
 	})
-	if err != nil {
-		return nil, index.Stats{}, err
-	}
-	var all []index.Candidate
-	var total index.Stats
-	for i, p := range parts {
-		all = append(all, p...)
-		total.Add(stats[i])
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		return all[a].Pos < all[b].Pos
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, total, nil
 }
 
-// CandidatesAxis scatter-gathers the axis-subspace candidate stage over
-// the backends EnsureIndex built: per-shard KNNAxis with globally
-// translated positions, merged under (dist, pos) and truncated to k —
-// the same merge as Candidates.
+// CandidatesAxis is Candidates for axis-subspace scans: per-shard
+// KNNAxis partials under the same merge.
 func (c *Coordinator) CandidatesAxis(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error) {
+	return c.candidates(ctx, v, k, func(ctx context.Context, s Shard) ([]index.Candidate, index.Stats, error) {
+		return s.CandidatesAxis(ctx, qaxis, axes, k)
+	})
+}
+
+// candidates scatters one candidate query over the built shard set and
+// merges the partials under (dist, pos), truncated to k; per-shard query
+// stats accumulate in shard order. One shard's partial is returned as is.
+func (c *Coordinator) candidates(ctx context.Context, v *dataset.View, k int, query func(context.Context, Shard) ([]index.Candidate, index.Stats, error)) ([]index.Candidate, index.Stats, error) {
 	if c.idxView != v || c.idxShards == nil {
-		return nil, index.Stats{}, fmt.Errorf("shard: CandidatesAxis before EnsureIndex for this view")
+		return nil, index.Stats{}, fmt.Errorf("shard: candidates before EnsureIndex for this view")
 	}
 	shards := c.idxShards
 	parts := make([][]index.Candidate, len(shards))
 	stats := make([]index.Stats, len(shards))
 	err := c.scatter(ctx, "candidates", shards, v.N(), func(ctx context.Context, s Shard) error {
-		cs, st, err := s.CandidatesAxis(ctx, qaxis, axes, k)
+		cs, st, err := query(ctx, s)
 		if err != nil {
 			return err
 		}
@@ -592,6 +553,9 @@ func (c *Coordinator) CandidatesAxis(ctx context.Context, v *dataset.View, qaxis
 	if err != nil {
 		return nil, index.Stats{}, err
 	}
+	if len(parts) == 1 {
+		return parts[0], stats[0], nil
+	}
 	var all []index.Candidate
 	var total index.Stats
 	for i, p := range parts {
@@ -599,19 +563,10 @@ func (c *Coordinator) CandidatesAxis(ctx context.Context, v *dataset.View, qaxis
 		total.Add(stats[i])
 	}
 	sort.Slice(all, func(a, b int) bool {
-		if all[a].Dist != all[b].Dist {
-			return all[a].Dist < all[b].Dist
-		}
-		return all[a].Pos < all[b].Pos
+		return candLess(Cand{Pos: all[a].Pos, Dist: all[a].Dist}, Cand{Pos: all[b].Pos, Dist: all[b].Dist})
 	})
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all, total, nil
-}
-
-// InvalidateIndex drops the coordinator's built shard backends (the view
-// changed, e.g. rows were pruned).
-func (c *Coordinator) InvalidateIndex() {
-	c.idxView, c.idxShards = nil, nil
 }

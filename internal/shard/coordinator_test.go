@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -66,7 +67,8 @@ func (r *recordTracer) Now() time.Time { return time.Now() }
 
 // TestCoordinatorStatsParity checks the stats stage against View.Stats:
 // bit-identical at P=1, ≤ 1e-10 relative at P=4, pull-through for
-// projected views, and per-view memoization.
+// projected views, and the one memo — on the view, one slot per P, shared
+// by every coordinator (so every session) over that view.
 func TestCoordinatorStatsParity(t *testing.T) {
 	ctx := context.Background()
 	v := testDataset(t, 7, 500, 6).View()
@@ -135,37 +137,116 @@ func TestCoordinatorStatsParity(t *testing.T) {
 	if again != got4 {
 		t.Fatal("stats were recomputed instead of memoized")
 	}
+
+	// The memo is the view's: at P=1 it is View.Stats' own pointer, a
+	// second coordinator with the same P (another session) gets the same
+	// pointer, and P=4 keeps a slot of its own.
+	if got1 != want {
+		t.Fatal("P=1 stats are not View.Stats' memo")
+	}
+	for _, tc := range []struct {
+		shards int
+		want   *dataset.ViewStats
+	}{{1, got1}, {4, got4}} {
+		other, err := New(Config{Shards: tc.shards, Workers: 2}).Stats(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other != tc.want {
+			t.Fatalf("P=%d: a second coordinator recomputed the view's stats", tc.shards)
+		}
+	}
+	if got4 == got1 {
+		t.Fatal("P=4 shares the P=1 memo slot")
+	}
+	otherP, err := New(Config{Shards: 4}).Stats(ctx, pv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otherP != gotP {
+		t.Fatal("projected view's P=4 stats recomputed by a second coordinator")
+	}
 }
 
 // TestCoordinatorNearestParity checks the top-s stage: the sharded merge
 // must return exactly the unsharded top-k (positions and distances
-// bitwise) in the strict (dist, pos) order.
+// bitwise) in the strict (dist, pos) order — for k = 0, k < n and k ≥ n,
+// on data with and without exact distance ties, with each coordinator
+// reusing its buffers across every call.
 func TestCoordinatorNearestParity(t *testing.T) {
 	ctx := context.Background()
-	v := testDataset(t, 11, 400, 5).View()
+	ds := testDataset(t, 11, 400, 5)
+	// Every row repeated eight times: exact distance ties everywhere,
+	// broken by position alone.
+	rows := make([][]float64, 400)
+	for i := range rows {
+		rows[i] = ds.PointCopy(i % 50)
+	}
+	dup, err := dataset.New(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sub, err := linalg.AxisSubspace(5, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := append(linalg.Vector(nil), v.Point(5)...)
-	qp := sub.Project(q)
-	const k = 17
-
-	want := make([]Cand, 0, v.N())
-	for i := 0; i < v.N(); i++ {
-		want = append(want, Cand{Pos: i, Dist: sub.ProjDistTo(qp, v.Point(i))})
-	}
-	sort.Slice(want, func(a, b int) bool { return candLess(want[a], want[b]) })
-	want = want[:k]
-
+	coords := map[int]*Coordinator{}
 	for _, p := range []int{1, 4, 7} {
-		c := New(Config{Shards: p, Workers: 3})
-		got, err := c.Nearest(ctx, v, sub, qp, k)
-		if err != nil {
+		coords[p] = New(Config{Shards: p, Workers: 3})
+	}
+	for name, v := range map[string]*dataset.View{"distinct": ds.View(), "duplicated": dup.View()} {
+		qp := sub.Project(append(linalg.Vector(nil), v.Point(5)...))
+		all := make([]Cand, 0, v.N())
+		for i := 0; i < v.N(); i++ {
+			all = append(all, Cand{Pos: i, Dist: sub.ProjDistTo(qp, v.Point(i))})
+		}
+		sort.Slice(all, func(a, b int) bool { return candLess(all[a], all[b]) })
+		for _, k := range []int{0, 17, v.N(), v.N() + 9} {
+			want := all[:min(k, v.N())]
+			for _, p := range []int{1, 4, 7} {
+				got, err := coords[p].Nearest(ctx, v, sub, qp, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("%s k=%d P=%d: nearest = %v, want %v", name, k, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCoordinatorNearestAllocsIndependentOfRows pins the top-s stage's
+// allocation contract: the distance buffer is the coordinator's and is
+// reused across calls, so the bytes one Nearest call allocates depend on
+// k and P, never on the shard rows.
+func TestCoordinatorNearestAllocsIndependentOfRows(t *testing.T) {
+	ctx := context.Background()
+	const k, calls = 16, 40
+	perCall := func(n, p, workers int) float64 {
+		v := testDataset(t, 37, n, 8).View()
+		sub := linalg.FullSpace(8)
+		qp := sub.Project(append(linalg.Vector(nil), v.Point(0)...))
+		c := New(Config{Shards: p, Workers: workers})
+		if _, err := c.Nearest(ctx, v, sub, qp, k); err != nil { // sizes the buffers
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("P=%d: nearest = %v, want %v", p, got, want)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := c.Nearest(ctx, v, sub, qp, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls
+	}
+	for _, tc := range []struct{ p, workers int }{{1, 1}, {1, 2}, {4, 2}} {
+		small, big := perCall(512, tc.p, tc.workers), perCall(8192, tc.p, tc.workers)
+		// A per-call buffer would add 16 B per extra row (~120 KiB here);
+		// the slack only absorbs goroutine bookkeeping.
+		if big > small+1024 {
+			t.Errorf("P=%d workers=%d: %.0f B per call at 8192 rows vs %.0f B at 512", tc.p, tc.workers, big, small)
 		}
 	}
 }
@@ -366,6 +447,31 @@ func TestCoordinatorTelemetry(t *testing.T) {
 	if i != len(tr.events) {
 		t.Fatalf("unexpected trailing events: %+v", tr.events[i:])
 	}
+
+	// A one-shard coordinator is the unsharded engine: no stage it runs
+	// emits scatter telemetry.
+	tr1 := &recordTracer{}
+	c1 := New(Config{Shards: 1, Workers: 2, Tracer: tr1})
+	c1.SetSpan("s/r1/v1.axis/proj")
+	if _, err := c1.Stats(ctx, testDataset(t, 30, 250, 4).View()); err != nil {
+		t.Fatal(err)
+	}
+	sub := linalg.FullSpace(4)
+	if _, err := c1.Nearest(ctx, v, sub, sub.Project(v.Point(0)), 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Estimate2D(ctx, testXY(t, 5, 250), kde.Options{GridSize: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.EnsureIndex(ctx, v, index.Config{Name: "exact"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c1.Candidates(ctx, v, v.Point(0), 5); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr1.events) != 0 {
+		t.Fatalf("P=1 coordinator emitted %d scatter events, first %+v", len(tr1.events), tr1.events[0])
+	}
 }
 
 // TestCoordinatorTelemetryUnparented checks scatter span IDs without a
@@ -463,12 +569,5 @@ func TestCoordinatorIndexStage(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, want) {
 		t.Fatal("cache-served candidates differ")
-	}
-
-	// InvalidateIndex drops the shard set; the next ensure rebuilds (all
-	// hits, served by the cache).
-	c.InvalidateIndex()
-	if builds3, err := c.EnsureIndex(ctx, v, cfg); err != nil || builds3 == nil {
-		t.Fatalf("ensure after invalidate: builds=%v err=%v", builds3, err)
 	}
 }

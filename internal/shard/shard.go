@@ -2,7 +2,9 @@
 // that runs every per-row stage kernel — moment statistics, top-s nearest
 // positions, density-grid contributions, candidate generation — as
 // partial(shard) → mergeInOrder(partials) over P row-disjoint shards of
-// the session's current working set.
+// the session's current working set. Every session runs through a
+// coordinator; the unsharded engine is the degenerate case P=1, one
+// full-range shard whose merge is the identity.
 //
 // The merge layer is the point of the package (the FLANN distributed-
 // matching shape: any local algorithm plus a merge): Shard is an
@@ -21,22 +23,22 @@
 //   - any finishing arithmetic runs once, after the merge.
 //
 // Under these rules a P-sharded stage is bit-identical across runs and
-// worker counts for fixed P; P=1 reproduces the unsharded kernels bit
-// for bit (sessions bypass the coordinator entirely at Shards ≤ 1, so
-// the parity there is trivially byte-level); and different P disagree
-// only by re-association of per-entry float additions (≤ 1e-10
-// relative), with top-s membership exactly preserved.
+// worker counts for fixed P; P=1 reproduces the single-partition kernels
+// bit for bit (its one partial sweeps every row in order, and its
+// statistics are View.Stats itself); and different P disagree only by
+// re-association of per-entry float additions (≤ 1e-10 relative), with
+// top-s membership exactly preserved.
 package shard
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
 	"innsearch/internal/kde"
 	"innsearch/internal/linalg"
+	"innsearch/internal/parallel"
 )
 
 // Cand is one nearest-position candidate: a row position in the stage's
@@ -47,13 +49,64 @@ type Cand struct {
 }
 
 // candLess is the engine's strict total order on candidates: ascending
-// distance, ascending position on ties — the tie-break that makes top-s
-// merges deterministic.
+// distance, ascending position on ties. Positions are distinct, so any
+// two candidates compare unequal — which is what makes every correct
+// top-s selection (and every top-s merge) produce exactly the prefix a
+// full sort would.
 func candLess(a, b Cand) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.Pos < b.Pos
+}
+
+// siftDown restores the max-heap property (candLess-greatest at the root)
+// for the subtree rooted at i over h[:n].
+func siftDown(h []Cand, i, n int) {
+	for {
+		kid := 2*i + 1
+		if kid >= n {
+			return
+		}
+		if r := kid + 1; r < n && candLess(h[kid], h[r]) {
+			kid = r
+		}
+		if !candLess(h[i], h[kid]) {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
+	}
+}
+
+// SelectNearest reorders cands so that cands[:min(k, len)] holds the k
+// smallest candidates under the (dist, pos) order in ascending order —
+// byte-identical to the prefix of a full sort, found in O(n log k) with a
+// bounded max-heap. It is the engine's one top-s kernel: shard partials,
+// the coordinator's merge, and the session's index re-rank all use it.
+func SelectNearest(cands []Cand, k int) {
+	n := len(cands)
+	if k <= 0 {
+		return
+	}
+	if k > n {
+		k = n
+	}
+	h := cands[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i, k)
+	}
+	for i := k; i < n; i++ {
+		if candLess(cands[i], h[0]) {
+			h[0], cands[i] = cands[i], h[0]
+			siftDown(h, 0, k)
+		}
+	}
+	// Heap-sort the surviving k into ascending order.
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h, 0, end)
+	}
 }
 
 // Shard executes stage partials over one row window of the session's
@@ -111,13 +164,23 @@ type Local struct {
 	view       *dataset.View
 	xy         kde.XYSource
 	backend    index.Backend
+
+	// workers is the goroutine budget of the shard's own row sweeps (the
+	// top-s distance fill, the exact density lattice): the coordinator
+	// hands each of its P shards an equal share of its workers, so P=1
+	// keeps the whole pool. Every sweep writes row-owned slots, so the
+	// budget never changes results.
+	workers int
+	// near is the top-s distance buffer, reused across calls (the
+	// coordinator's per-shard slot for the shards it builds).
+	near *[]Cand
 }
 
 // NewLocal returns a Local shard with the given ID over rows [lo, hi) of
 // view v (may be nil for density-only shards) and XY source xy (may be
-// nil for view-only shards).
+// nil for view-only shards). Its own sweeps run serially.
 func NewLocal(id int, lo, hi int, v *dataset.View, xy kde.XYSource) *Local {
-	return &Local{id: id, lo: lo, hi: hi, view: v, xy: xy}
+	return &Local{id: id, lo: lo, hi: hi, view: v, xy: xy, workers: 1, near: new([]Cand)}
 }
 
 // ID implements Shard.
@@ -156,8 +219,10 @@ func (l *Local) CenteredMoment(ctx context.Context, mean linalg.Vector) (*linalg
 	return l.view.CenteredMoment(ctx, l.lo, l.hi, mean)
 }
 
-// Nearest implements Shard: an ascending sweep of the window computing
-// exact projected distances, finished with the strict (dist, pos) order.
+// Nearest implements Shard: exact projected distances for every row of
+// the window, filled into the reused buffer one row-owned slot each (on
+// the shard's worker budget), then the bounded top-k selection. Only the
+// k survivors are copied out, so a call allocates O(k), not O(rows).
 func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vector, k int) ([]Cand, error) {
 	if err := l.needView("nearest"); err != nil {
 		return nil, err
@@ -165,20 +230,28 @@ func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vec
 	if k <= 0 {
 		return nil, nil
 	}
-	cands := make([]Cand, 0, l.hi-l.lo)
-	for i := l.lo; i < l.hi; i++ {
-		if (i-l.lo)%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	n := l.hi - l.lo
+	if cap(*l.near) < n {
+		*l.near = make([]Cand, n)
+	}
+	buf := (*l.near)[:n]
+	err := parallel.ForShards(ctx, l.workers, n, func(ctx context.Context, _, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
+			buf[i] = Cand{Pos: l.lo + i, Dist: sub.ProjDistTo(qp, l.view.Point(l.lo+i))}
 		}
-		cands = append(cands, Cand{Pos: i, Dist: sub.ProjDistTo(qp, l.view.Point(i))})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(cands, func(a, b int) bool { return candLess(cands[a], cands[b]) })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands, nil
+	k = min(k, n)
+	SelectNearest(buf, k)
+	return append([]Cand(nil), buf[:k]...), nil
 }
 
 // DensityExtent implements Shard.
@@ -215,9 +288,7 @@ func (l *Local) DensityLattice(ctx context.Context, g *kde.Grid) ([]float64, err
 	if g.Binned {
 		return kde.BinnedPartial(g, l.xy, l.lo, l.hi), nil
 	}
-	// Parallelism lives across shards; within a shard the exact kernel
-	// runs serially.
-	return kde.ExactPartial(ctx, g, l.xy, l.lo, l.hi, 1)
+	return kde.ExactPartial(ctx, g, l.xy, l.lo, l.hi, l.workers)
 }
 
 // windowSource adapts the shard's view window to index.Source: positions
@@ -232,6 +303,16 @@ func (s windowSource) Dim() int                  { return s.v.Dim() }
 func (s windowSource) Point(i int) linalg.Vector { return s.v.Point(s.lo + i) }
 func (s windowSource) ID(i int) int              { return s.v.ID(s.lo + i) }
 
+// source returns the index.Source over rows [lo, hi) of v: the view
+// itself when the window covers it (the one-shard case), so the backend
+// reads rows without the window's indirection.
+func source(v *dataset.View, lo, hi int) index.Source {
+	if lo == 0 && hi == v.N() {
+		return v
+	}
+	return windowSource{v: v, lo: lo, hi: hi}
+}
+
 // BuildIndex implements Shard.
 func (l *Local) BuildIndex(ctx context.Context, cfg index.Config) error {
 	if err := l.needView("candidates"); err != nil {
@@ -241,7 +322,7 @@ func (l *Local) BuildIndex(ctx context.Context, cfg index.Config) error {
 	if err != nil {
 		return err
 	}
-	if err := b.Build(ctx, windowSource{v: l.view, lo: l.lo, hi: l.hi}, cfg.Options); err != nil {
+	if err := b.Build(ctx, source(l.view, l.lo, l.hi), cfg.Options); err != nil {
 		return err
 	}
 	l.backend = b
@@ -255,33 +336,33 @@ func (l *Local) SetBackend(b index.Backend) { l.backend = b }
 // Backend returns the shard's built backend, or nil.
 func (l *Local) Backend() index.Backend { return l.backend }
 
-// Candidates implements Shard, translating window-local positions to
-// stage-global ones.
+// Candidates implements Shard: the backend's KNN partial with positions
+// translated to stage-global.
 func (l *Local) Candidates(ctx context.Context, q linalg.Vector, k int) ([]index.Candidate, index.Stats, error) {
-	if l.backend == nil {
-		return nil, index.Stats{}, fmt.Errorf("shard %d: candidates before BuildIndex", l.id)
-	}
-	cands, st, err := l.backend.KNN(ctx, q, k)
-	if err != nil {
-		return nil, st, err
-	}
-	for i := range cands {
-		cands[i].Pos += l.lo
-	}
-	return cands, st, nil
+	return l.query(func(b index.Backend) ([]index.Candidate, index.Stats, error) {
+		return b.KNN(ctx, q, k)
+	})
 }
 
 // CandidatesAxis implements Shard: the backend's KNNAxis partial with
 // positions translated to stage-global, like Candidates.
 func (l *Local) CandidatesAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error) {
+	return l.query(func(b index.Backend) ([]index.Candidate, index.Stats, error) {
+		as, ok := b.(index.AxisSearcher)
+		if !ok {
+			return nil, index.Stats{}, fmt.Errorf("shard %d: backend %s cannot serve axis scans", l.id, b.Name())
+		}
+		return as.KNNAxis(ctx, qaxis, axes, k)
+	})
+}
+
+// query runs one search on the shard's built backend and translates the
+// window-local candidate positions to stage-global ones.
+func (l *Local) query(search func(index.Backend) ([]index.Candidate, index.Stats, error)) ([]index.Candidate, index.Stats, error) {
 	if l.backend == nil {
 		return nil, index.Stats{}, fmt.Errorf("shard %d: candidates before BuildIndex", l.id)
 	}
-	as, ok := l.backend.(index.AxisSearcher)
-	if !ok {
-		return nil, index.Stats{}, fmt.Errorf("shard %d: backend %s cannot serve axis scans", l.id, l.backend.Name())
-	}
-	cands, st, err := as.KNNAxis(ctx, qaxis, axes, k)
+	cands, st, err := search(l.backend)
 	if err != nil {
 		return nil, st, err
 	}
