@@ -56,6 +56,7 @@ func main() {
 	flag.Parse()
 	fatalIf(cliutil.ValidateWorkers(*workers))
 	fatalIf(cliutil.ValidateShards(*shards))
+	fatalIf(cliutil.ValidateIndex(*indexName))
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "innsearch: -in is required")
 		flag.Usage()

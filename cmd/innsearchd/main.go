@@ -91,6 +91,9 @@ func main() {
 	if err := cliutil.ValidateShards(*shards); err != nil {
 		fatal(err)
 	}
+	if err := cliutil.ValidateIndex(*indexName); err != nil {
+		fatal(err)
+	}
 
 	datasets := make(map[string]*dataset.Dataset)
 	for _, spec := range dataSpecs {

@@ -87,6 +87,9 @@ func main() {
 	if err := cliutil.ValidateShards(*shards); err != nil {
 		fatal(err)
 	}
+	if err := cliutil.ValidateIndex(*indexName); err != nil {
+		fatal(err)
+	}
 
 	cfg := loadgen.Config{
 		BaseURL:         *baseURL,

@@ -61,14 +61,14 @@ type DiagnosisConfig = core.DiagnosisConfig
 
 // IndexConfig selects a candidate-generation backend for the session's
 // nearest-s scans (Config.Index). The zero value disables candidate
-// generation entirely — the session runs the plain exact scan. Setting
-// Name to an exact backend ("exact", "vafile", "rtree") leaves every
-// Result byte-identical to the unindexed session; approximate backends
-// ("kmtree") trade recall for speed via IndexOptions.
+// generation entirely — the session runs the plain exact scan. Both
+// backends ("exact" and "vafile"; see IndexBackends) are exact L2
+// indexes, so every Result is byte-identical to the unindexed session's;
+// the backend only changes how much work the scans do.
 type IndexConfig = index.Config
 
-// IndexOptions are the per-backend tuning knobs of an IndexConfig; zero
-// fields take backend defaults.
+// IndexOptions are the tuning knobs of an IndexConfig: the worker cap and
+// the VA-file's bits per dimension. Zero fields take backend defaults.
 type IndexOptions = index.Options
 
 // IndexBackends lists the registered candidate-generation backend names,

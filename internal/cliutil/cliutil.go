@@ -36,9 +36,8 @@ func WorkersFlag(fs *flag.FlagSet, def int, scope string) *int {
 
 // ShardsFlag registers the standard -shards flag on fs. scope describes
 // what one partition width applies to, matching WorkersFlag's phrasing.
-// 0 and 1 select the single-partition engine path (byte-identical to the
-// pre-shard engine); P ≥ 2 scatters the stage kernels over P row-disjoint
-// shards with deterministic in-order merges.
+// 0 and 1 run one shard holding every row; P ≥ 2 scatters the stage
+// kernels over P row-disjoint shards with deterministic in-order merges.
 func ShardsFlag(fs *flag.FlagSet, scope string) *int {
 	return fs.Int("shards", 0, fmt.Sprintf(
 		"engine partition width %s (0 or 1 = single partition; P >= 2 scatters stage kernels over P shards deterministically)", scope))
@@ -66,6 +65,18 @@ func ValidateShards(shards int) error {
 func IndexFlag(fs *flag.FlagSet) *string {
 	return fs.String("index", "",
 		"candidate-generation index backend: "+strings.Join(index.Names(), ", ")+" (empty = plain exact scan)")
+}
+
+// ValidateIndex rejects an -index value naming no registered backend,
+// with an error that lists the known ones ("" means no index).
+func ValidateIndex(name string) error {
+	if name == "" {
+		return nil
+	}
+	if _, err := index.New(name); err != nil {
+		return fmt.Errorf("-index: %w", err)
+	}
+	return nil
 }
 
 // TraceFlag registers the standard -trace flag on fs.

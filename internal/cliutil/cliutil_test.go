@@ -25,6 +25,17 @@ func TestFlagsRegisterAndParse(t *testing.T) {
 	if !strings.Contains(f.Usage, "vafile") || !strings.Contains(f.Usage, "exact") {
 		t.Errorf("index help does not list registry backends: %q", f.Usage)
 	}
+	for _, name := range []string{"", "exact", "vafile"} {
+		if err := ValidateIndex(name); err != nil {
+			t.Errorf("ValidateIndex(%q) = %v, want nil", name, err)
+		}
+	}
+	// Removed backends fail with an error naming the known ones.
+	for _, name := range []string{"kmtree", "rtree", "igrid"} {
+		if err := ValidateIndex(name); err == nil || !strings.Contains(err.Error(), "exact, vafile") {
+			t.Errorf("ValidateIndex(%q) = %v, want an error listing exact, vafile", name, err)
+		}
+	}
 }
 
 func TestOpenTrace(t *testing.T) {

@@ -180,7 +180,7 @@ func BenchmarkDiagnose5000(b *testing.B) {
 
 // benchmarkSessionIndexed is BenchmarkSession2000x64 with a
 // candidate-generation backend installed — the numbers EXPERIMENTS.md
-// quotes when comparing exact, VA-file, and k-means-tree session times.
+// quotes when comparing exact and VA-file session times.
 func benchmarkSessionIndexed(b *testing.B, backend string) {
 	ds, q := benchDataset(b, 2000, 64)
 	b.ReportAllocs()
@@ -201,7 +201,6 @@ func benchmarkSessionIndexed(b *testing.B, backend string) {
 
 func BenchmarkSession2000x64IndexExact(b *testing.B)  { benchmarkSessionIndexed(b, "exact") }
 func BenchmarkSession2000x64IndexVAFile(b *testing.B) { benchmarkSessionIndexed(b, "vafile") }
-func BenchmarkSession2000x64IndexKmtree(b *testing.B) { benchmarkSessionIndexed(b, "kmtree") }
 
 // benchmarkSessionSharded is BenchmarkSession2000x64 with the stage
 // kernels scattered over P shards — the session-time-vs-P series
@@ -251,7 +250,6 @@ func benchmarkSession20000(b *testing.B, backend string) {
 func BenchmarkSession20000x64(b *testing.B)              { benchmarkSession20000(b, "") }
 func BenchmarkSession20000x64IndexedExact(b *testing.B)  { benchmarkSession20000(b, "exact") }
 func BenchmarkSession20000x64IndexedVAFile(b *testing.B) { benchmarkSession20000(b, "vafile") }
-func BenchmarkSession20000x64IndexedKMTree(b *testing.B) { benchmarkSession20000(b, "kmtree") }
 
 func BenchmarkSession2000x64Shards1(b *testing.B) { benchmarkSessionSharded(b, 1, 4) }
 func BenchmarkSession2000x64Shards2(b *testing.B) { benchmarkSessionSharded(b, 2, 4) }

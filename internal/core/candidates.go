@@ -17,10 +17,9 @@ import (
 // per-shard backends the session's coordinator builds over its current
 // view, and the accumulated work statistics. The generator is consulted
 // by nearestPositions for full-space scans (sub.Identity()), where the
-// backend's L2 ranking is the engine's ranking, and — when the backend
-// implements index.AxisSearcher — for axis-aligned subspace scans routed
-// through axisScanRoute; arbitrary-direction subspaces keep the exact
-// kernels.
+// backend's L2 ranking is the engine's ranking, and for axis-aligned
+// subspace scans routed through axisScanRoute (index.Backend.KNNAxis);
+// arbitrary-direction subspaces keep the exact kernels.
 //
 // Sessions prune rows between major iterations, producing a new view;
 // the generator detects the view change and lazily re-ensures the index
@@ -38,8 +37,6 @@ import (
 type candGen struct {
 	cfg   index.Config
 	coord *shard.Coordinator
-	// axis reports whether the backend implements index.AxisSearcher.
-	axis bool
 	// built is the view the coordinator's backends were last ensured
 	// over; queries on it skip the ensure (and its clock read).
 	built *dataset.View
@@ -68,15 +65,13 @@ func newCandGen(cfg index.Config, workers int, coord *shard.Coordinator) (*candG
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	b, err := index.New(cfg.Name)
-	if err != nil {
+	if _, err := index.New(cfg.Name); err != nil {
 		return nil, err
 	}
 	if cfg.Options.Workers == 0 {
 		cfg.Options.Workers = workers
 	}
-	_, axis := b.(index.AxisSearcher)
-	return &candGen{cfg: cfg, coord: coord, axis: axis}, nil
+	return &candGen{cfg: cfg, coord: coord}, nil
 }
 
 // candidates returns the backends' merged k-candidate set for the ambient
@@ -88,8 +83,7 @@ func (g *candGen) candidates(ctx context.Context, v *dataset.View, q linalg.Vect
 }
 
 // candidatesAxis is the axis-subspace route: the backends' KNNAxis serves
-// the scan over the masked original attributes (see index.AxisSearcher).
-// The caller guarantees the backend supports it (g.axis).
+// the scan over the masked original attributes.
 func (g *candGen) candidatesAxis(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, error) {
 	return g.query(ctx, v, func() ([]index.Candidate, index.Stats, error) {
 		return g.coord.CandidatesAxis(ctx, v, qaxis, axes, k)

@@ -37,7 +37,7 @@ func TestSessionIndexBackendParity(t *testing.T) {
 		return res
 	}
 	base := run("")
-	for _, backend := range []string{"exact", "vafile", "rtree"} {
+	for _, backend := range index.Names() {
 		if got := run(backend); !reflect.DeepEqual(got, base) {
 			t.Errorf("backend %q: Results differ from the plain exact scan", backend)
 		}

@@ -19,16 +19,13 @@ import (
 // index from its parent (index.Deriver) must return exactly the
 // candidate set a generator built fresh on the narrowed view returns —
 // at every chain depth, for every Deriver backend, across worker counts
-// and shard widths. kmtree runs with Checks ≥ n, the exhaustive regime
-// where its search is exact and the equivalence is exact too (see
-// DESIGN.md §5k for why approximate budgets may legitimately diverge).
+// and shard widths.
 func TestDerivedIndexMatchesFreshCandidates(t *testing.T) {
 	ds, q := benchDataset(t, 800, 12)
 	const k, depth = 20, 5
 	ctx := context.Background()
 	backends := []index.Config{
 		{Name: "vafile"},
-		{Name: "kmtree", Options: index.Options{Checks: 1 << 20}},
 	}
 	for _, cfg := range backends {
 		for _, workers := range []int{1, 4, 8} {

@@ -67,22 +67,20 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // a full-space one (sub.Identity(), where projected distance IS plain L2
 // over the rows), the backend prunes the store to a candidate set first
 // and only the candidates are re-ranked with the engine's own metric and
-// strict total order. An exact backend's candidate set contains the true
-// top-s, so the re-ranked prefix is byte-identical to the full scan;
-// approximate backends trade that guarantee for work (see index.Backend).
-// Narrowed-subspace scans never consult the backend: its L2 ranking would
-// be wrong there. The backends themselves are per-shard, built and
+// strict total order. Every backend is exact — its candidate set
+// contains the true top-s — so the re-ranked prefix is byte-identical to
+// the full scan. The backends themselves are per-shard, built and
 // queried through the coordinator (see candGen.candidates).
 //
 // Beyond the ambient identity scan, the generator is also consulted when
 // the whole scan resolves to an axis-aligned mask over an ancestor
-// ambient view (axisScanRoute): backends implementing index.AxisSearcher
-// serve those scans over the ancestor's rows directly, so the index built
-// (or derived) once per view generation is reused across the projection
-// stages instead of being rebuilt per composed frame. Scans that resolve
-// to no route — arbitrary-direction frames — run the exact kernels with
-// no index at all, which is strictly cheaper than building one that
-// cannot be consulted.
+// ambient view (axisScanRoute): the backend's KNNAxis serves those scans
+// over the ancestor's rows directly, so the index built (or derived) once
+// per view generation is reused across the projection stages instead of
+// being rebuilt per composed frame. Scans that resolve to no route —
+// arbitrary-direction frames — run the exact kernels with no index at
+// all, which is strictly cheaper than building one that cannot be
+// consulted.
 func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.View, q linalg.Vector, sub *linalg.Subspace, s int, scr *searchScratch, gen *candGen) ([]int, error) {
 	n := v.N()
 	if s < 0 {
@@ -99,12 +97,10 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 			// Ambient full-space scan: the backend's L2 ranking is the
 			// engine's ranking.
 			idxCands, err = gen.candidates(ctx, v, q, s)
-		} else if gen.axis {
-			if origin, axes, ok := axisScanRoute(v, sub); ok {
-				// qp is the query in the scanned subspace's coordinates —
-				// exactly the coordinates KNNAxis measures along axes.
-				idxCands, err = gen.candidatesAxis(ctx, origin, qp, axes, s)
-			}
+		} else if origin, axes, ok := axisScanRoute(v, sub); ok {
+			// qp is the query in the scanned subspace's coordinates —
+			// exactly the coordinates KNNAxis measures along axes.
+			idxCands, err = gen.candidatesAxis(ctx, origin, qp, axes, s)
 		}
 		if err != nil {
 			return nil, err

@@ -67,11 +67,9 @@ type Config struct {
 	// Index selects a candidate-generation backend (internal/index) for
 	// the session's full-space nearest-s scans: the named index prunes the
 	// store to a candidate set before the exact kernels re-rank it. The
-	// zero value keeps the exact full scan with zero overhead. Exact
-	// backends ("exact", "vafile", "rtree") leave every Result
-	// byte-identical; approximate ones ("kmtree", "igrid") trade recall
-	// for sub-linear work — measure them with index.MeasureRecall before
-	// relying on a configuration.
+	// zero value keeps the exact full scan with zero overhead. Every
+	// backend (index.Names: "exact", "vafile") is exact, so the choice
+	// changes the work a session does, never its Result.
 	Index index.Config
 	// IndexCache, when non-nil, shares built candidate backends across
 	// sessions whose views coincide (same store generation, same backend

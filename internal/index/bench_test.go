@@ -30,8 +30,6 @@ func benchmarkCandidateGen(b *testing.B, name string) {
 
 func BenchmarkCandidateGenExact2000x64(b *testing.B)  { benchmarkCandidateGen(b, "exact") }
 func BenchmarkCandidateGenVAFile2000x64(b *testing.B) { benchmarkCandidateGen(b, "vafile") }
-func BenchmarkCandidateGenRTree2000x64(b *testing.B)  { benchmarkCandidateGen(b, "rtree") }
-func BenchmarkCandidateGenKmtree2000x64(b *testing.B) { benchmarkCandidateGen(b, "kmtree") }
 
 // BenchmarkCandidateGenBuildVAFile2000x64 times the per-view-generation
 // rebuild an indexed session pays, the other side of the amortization.
@@ -114,6 +112,4 @@ func benchChildRows(n int) []int {
 }
 
 func BenchmarkIndexDeriveVAFile20000x64(b *testing.B)  { benchmarkIndexDerive(b, "vafile", 20000, 64) }
-func BenchmarkIndexDeriveKmtree20000x64(b *testing.B)  { benchmarkIndexDerive(b, "kmtree", 20000, 64) }
 func BenchmarkIndexRebuildVAFile20000x64(b *testing.B) { benchmarkIndexRebuild(b, "vafile", 20000, 64) }
-func BenchmarkIndexRebuildKmtree20000x64(b *testing.B) { benchmarkIndexRebuild(b, "kmtree", 20000, 64) }

@@ -44,11 +44,10 @@ type CacheKey struct {
 	Name    string
 	Options Options
 	// Parent is the identity of the parent source a derived backend was
-	// narrowed from (nil for fresh builds). Keeping derived and fresh
-	// entries distinct matters for approximate backends, whose derived
-	// state legitimately differs from a fresh build: a session's results
-	// must depend only on its own derivation chain, never on which kind of
-	// build another session cached first.
+	// narrowed from (nil for fresh builds). Derived shard sets inherit
+	// their parent's shard boundaries, so shard i of a derived set need not
+	// cover the rows shard i of a fresh build over the same view covers;
+	// the two must never share an entry.
 	Parent any
 }
 

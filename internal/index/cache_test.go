@@ -11,11 +11,13 @@ import (
 type fakeBackend struct{ name string }
 
 func (f *fakeBackend) Name() string { return f.name }
-func (f *fakeBackend) Exact() bool  { return true }
 func (f *fakeBackend) Build(context.Context, Source, Options) error {
 	return nil
 }
 func (f *fakeBackend) KNN(context.Context, []float64, int) ([]Candidate, Stats, error) {
+	return nil, Stats{}, nil
+}
+func (f *fakeBackend) KNNAxis(context.Context, []float64, []int, int) ([]Candidate, Stats, error) {
 	return nil, Stats{}, nil
 }
 

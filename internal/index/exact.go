@@ -10,21 +10,15 @@ import (
 	"innsearch/internal/parallel"
 )
 
-func init() {
-	Register("exact", func() Backend { return &exactBackend{} })
-}
-
 // exactBackend is the reference: a parallel full scan with the bounded
-// top-k selection. It is both the default candidate generator semantics
-// (what the engine does with no index at all) and the ground truth
-// MeasureRecall compares every other backend against.
+// top-k selection. It has the engine's own no-index semantics and is the
+// ground truth the other backends' parity tests compare against.
 type exactBackend struct {
 	src     Source
 	workers int
 }
 
 func (b *exactBackend) Name() string { return "exact" }
-func (b *exactBackend) Exact() bool  { return true }
 
 // Build just retains the source: a full scan has no structure to build.
 func (b *exactBackend) Build(ctx context.Context, src Source, opts Options) error {
@@ -69,7 +63,7 @@ func (b *exactBackend) KNN(ctx context.Context, q []float64, k int) ([]Candidate
 	return out, Stats{Scanned: n, Refined: n}, nil
 }
 
-// KNNAxis implements AxisSearcher: the same parallel scan restricted to
+// KNNAxis implements Backend: the same parallel scan restricted to
 // the masked attributes. The accumulation order (ascending mask index,
 // one sqrt at the end) matches the engine's axis-subspace distance kernel
 // bit for bit, so routed sessions stay field-identical to unrouted ones.

@@ -1,24 +1,21 @@
 // Package index is the pluggable candidate-generation layer: one Backend
-// interface over the repository's access methods (exact scan, VA-file,
-// R-tree, IGrid, priority-search k-means tree), a registry to construct
-// them by name, and a recall harness that measures any backend against
-// the exact reference.
+// interface over the repository's exact L2 access methods — the parallel
+// full scan (exact) and the VA-file (vafile) — and a fixed registry to
+// construct them by name.
 //
 // The engine consults a backend to prune the store to a candidate set
 // before its exact micro-tiled kernels run (see internal/core); the
 // serving layer surfaces the chosen backend and its work counters in
-// /varz and times builds and queries into /metrics. Backends divide into
-// two semantic classes, reported by Exact():
-//
-//   - Exact backends (exact, vafile, rtree) return the true k nearest
-//     neighbors under L2 with the engine's strict total order (ascending
-//     distance, ascending position on ties). A session that prunes
-//     through an exact backend returns byte-identical Results to the
-//     full scan.
-//   - Approximate backends (kmtree, igrid) trade recall for work. Their
-//     contract is honesty, not exactness: measure recall against the
-//     exact reference with MeasureRecall before trusting a configuration,
-//     the discipline ann-benchmarks established.
+// /varz and times builds and queries into /metrics. Every backend returns
+// the true k nearest neighbors under L2 with the engine's strict total
+// order (ascending distance, ascending position on ties), in the full
+// space (KNN) and over axis-aligned attribute masks (KNNAxis), so a
+// session that prunes through any backend returns byte-identical Results
+// to the full scan. Hierarchical and approximate access methods (R-tree,
+// IGrid, k-means tree) are deliberately not registered: each lost on
+// session time or session answer at every shape of the frontier sweep in
+// EXPERIMENTS.md. The internal/rtree and internal/igrid packages serve
+// the experiments directly.
 //
 // All backends build from a Source — a zero-copy row accessor satisfied
 // by *dataset.View and *dataset.Dataset — and both Build and KNN honor
@@ -29,7 +26,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 
 	"innsearch/internal/linalg"
 )
@@ -45,36 +42,28 @@ type Source interface {
 }
 
 // Candidate is one generated candidate: a row position in the built
-// source, its original ID, and the backend's ranking score. For L2
-// backends Dist is the exact Euclidean distance; for igrid it is the
-// negated IGrid similarity, so ascending Dist is always "better" and
-// callers can treat the slice uniformly.
+// source, its original ID, and its exact Euclidean distance to the query.
 type Candidate struct {
 	Pos  int
 	ID   int
 	Dist float64
 }
 
-// Stats reports the work one KNN call did, in backend-appropriate units.
-// Zero-valued fields mean "not applicable to this backend".
+// Stats reports the work one KNN call did.
 type Stats struct {
 	// Scanned counts rows or row approximations examined.
 	Scanned int
-	// Refined counts exact full-dimensional distances computed.
+	// Refined counts exact distances computed.
 	Refined int
-	// Nodes counts tree nodes visited (tree backends).
-	Nodes int
 }
 
 // Add accumulates another query's counters, for session-lifetime totals.
 func (s *Stats) Add(o Stats) {
 	s.Scanned += o.Scanned
 	s.Refined += o.Refined
-	s.Nodes += o.Nodes
 }
 
-// Options carries the tunables of every registered backend; each backend
-// reads its own fields and ignores the rest. The zero value selects the
+// Options carries the backend tunables. The zero value selects the
 // documented defaults.
 type Options struct {
 	// Workers caps the goroutines a backend may use for building and
@@ -83,22 +72,6 @@ type Options struct {
 
 	// Bits is the VA-file approximation width per dimension (default 6).
 	Bits int
-
-	// Bands is the IGrid equi-depth band count per dimension (default:
-	// the data dimensionality) and Exponent its similarity exponent
-	// (default 2).
-	Bands    int
-	Exponent float64
-
-	// Branching is the k-means tree fan-out (default 16), LeafSize the
-	// maximum points per leaf (default 32), Checks the search budget in
-	// points examined per query (default 512), and Seed the PRNG seed of
-	// the clustering (default 1). Recall is monotone non-decreasing in
-	// Checks; measure it with MeasureRecall.
-	Branching int
-	LeafSize  int
-	Checks    int
-	Seed      int64
 }
 
 // Config names a backend and its options — the value surfaced on the
@@ -113,22 +86,29 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Name != "" }
 
 // Backend is one candidate-generation strategy. Implementations must be
-// safe for concurrent KNN calls after Build returns. Build may be called
-// again to re-index a new source (sessions rebuild after pruning rows).
+// safe for concurrent KNN and KNNAxis calls after Build returns. Build
+// may be called again to re-index a new source.
 type Backend interface {
 	// Name returns the registry name the backend was constructed under.
 	Name() string
-	// Exact reports whether KNN returns the true L2 k-nearest set in the
-	// engine's strict total order (ascending distance, ascending position
-	// on ties). Approximate backends return false and are subject to
-	// MeasureRecall.
-	Exact() bool
 	// Build indexes src. It replaces any previously built state.
 	Build(ctx context.Context, src Source, opts Options) error
-	// KNN returns up to k candidates for query q, ascending by Dist with
-	// ascending-position tie-breaks, and the work Stats of this call.
+	// KNN returns the k nearest rows to q under L2, ascending by Dist
+	// with ascending-position tie-breaks, and the work Stats of this call.
 	KNN(ctx context.Context, q []float64, k int) ([]Candidate, Stats, error)
+	// KNNAxis is KNN in the axis subspace spanned by axes
+	// (original-attribute indices, each in [0, Dim)): qaxis[j] is the
+	// query coordinate along attribute axes[j], and distances are L2 over
+	// exactly those attributes. It must agree bit for bit with the
+	// engine's masked exact scan (accumulate squared terms in ascending j,
+	// then one sqrt), so the engine can route projection-stage scans over
+	// axis subspaces through the index.
+	KNNAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]Candidate, Stats, error)
 }
+
+// AxisSearcher is an alias of Backend for callers that name the
+// axis-subspace search by this type; every backend implements KNNAxis.
+type AxisSearcher = Backend
 
 // Deriver is the optional incremental-maintenance interface: a backend
 // that can build a child index from a parent index when the child source
@@ -141,10 +121,8 @@ type Backend interface {
 // maps each child row to its position in the parent source, ascending;
 // child is the child source itself, retained by the returned backend for
 // refinement and ID resolution. The returned backend must be a fresh
-// instance (parent stays valid and queryable) and must satisfy the
-// derivation contract of DESIGN.md §5k: for exact backends, KNN results
-// identical to a fresh Build over child; for approximate backends,
-// identical candidate sets whenever the search budget covers the source.
+// instance (parent stays valid and queryable) whose KNN results are
+// identical to a fresh Build over child (DESIGN.md §5k).
 type Deriver interface {
 	Backend
 	// Derive builds a child backend from parent's built state. parent must
@@ -152,59 +130,24 @@ type Deriver interface {
 	Derive(ctx context.Context, parent Backend, child Source, childRows []int) (Backend, error)
 }
 
-// AxisSearcher is the optional subspace-consultation interface: a backend
-// whose structure supports axis-aligned dimension masks natively, so the
-// engine can route projection-stage scans over axis subspaces through the
-// index instead of falling back to exact full scans. qaxis[j] is the
-// query coordinate along original attribute axes[j]; distances are L2
-// over exactly those attributes, in the engine's strict total order. An
-// exact backend's KNNAxis must agree bit-for-bit with the engine's
-// masked exact scan (accumulate squared terms in ascending j, then one
-// sqrt).
-type AxisSearcher interface {
-	Backend
-	// KNNAxis returns up to k candidates nearest to qaxis in the axis
-	// subspace spanned by axes (original-attribute indices, strictly
-	// ascending not required but each in [0, Dim)).
-	KNNAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]Candidate, Stats, error)
-}
-
-// registry maps backend names to constructors. Backends self-register in
-// their init functions; the map is effectively read-only afterwards, but
-// the mutex keeps Register safe for tests that add fakes.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func() Backend{}
-)
-
-// Register makes a backend constructible by name. Registering a
-// duplicate name panics: backend names are part of the public Config
-// surface and must be unambiguous.
-func Register(name string, factory func() Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("index: duplicate backend %q", name))
-	}
-	registry[name] = factory
+// registry maps backend names to constructors.
+var registry = map[string]func() Backend{
+	"exact":  func() Backend { return &exactBackend{} },
+	"vafile": func() Backend { return &vafileBackend{} },
 }
 
 // New constructs the named backend, or an error naming the known
 // backends when the name is unknown.
 func New(name string) (Backend, error) {
-	regMu.RLock()
 	factory, ok := registry[name]
-	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("index: unknown backend %q (known: %v)", name, Names())
+		return nil, fmt.Errorf("index: unknown backend %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
 	return factory(), nil
 }
 
 // Names returns the registered backend names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)

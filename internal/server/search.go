@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -19,8 +18,7 @@ import (
 // cancels its in-flight sessions at their next checkpoint.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req wire.SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ds, ok := s.cfg.Datasets[req.Dataset]

@@ -78,10 +78,9 @@ type Config struct {
 	// generation off; see internal/index.Names for the registry).
 	Index string
 	// Shards is the default engine partition width for sessions that do
-	// not request one over the wire (0 or 1: the single-partition path,
-	// byte-identical to pre-shard behavior; P ≥ 2: stage kernels scatter
-	// over P row-disjoint shards and merge deterministically). Negative
-	// values are rejected at construction.
+	// not request one over the wire (0 or 1: one shard holding every row;
+	// P ≥ 2: stage kernels scatter over P row-disjoint shards and merge
+	// deterministically). Negative values are rejected at construction.
 	Shards int
 	// SweepInterval overrides the TTL sweep cadence (default TTL/4);
 	// tests use it to observe eviction quickly.
@@ -231,6 +230,28 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds every JSON request body the server decodes. The
+// largest legitimate body is a batch search carrying raw query vectors;
+// 8 MiB holds several hundred thousand coordinates.
+const maxRequestBody = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response — 413
+// for an oversized body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // waitParam parses ?wait= (a Go duration, e.g. 5s or 1500ms), clamped to
 // the server's long-poll cap. Absent means no waiting.
 func (s *Server) waitParam(r *http.Request) (time.Duration, error) {
@@ -335,8 +356,7 @@ func oracleFor(ds *dataset.Dataset, row int) (core.User, error) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req wire.CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ds, ok := s.cfg.Datasets[req.Dataset]
@@ -572,8 +592,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.DecisionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if state, _, serr := sessionStateIfDead(sess); state != "" {

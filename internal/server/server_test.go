@@ -534,3 +534,27 @@ func TestScriptedSessionAgainstExternal(t *testing.T) {
 	t.Logf("external session: %d iterations, %d/%d views answered, meaningful=%v",
 		res.Result.Iterations, res.Result.ViewsAnswered, res.Result.ViewsShown, res.Result.Diagnosis.Meaningful)
 }
+
+// TestOversizedBodyRejected posts a body just past the shared limit
+// to every route that decodes JSON and expects 413 with the wire error
+// shape, before any of the body is acted on.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	c := newClient(t, ts)
+	row := 0
+	created := c.createSession(wire.CreateSessionRequest{
+		Dataset: "test", QueryRow: &row,
+		Config: wire.SessionConfig{Mode: "axis", GridSize: 16, MaxMajorIterations: 1},
+	})
+	pad := strings.Repeat("x", maxRequestBody)
+	body := json.RawMessage(`{"dataset":"test","user":"` + pad + `"}`)
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/" + created.ID + "/decision", "/v1/search"} {
+		var errResp wire.Error
+		if code := c.do("POST", path, body, &errResp); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413", path, code)
+		}
+		if !strings.Contains(errResp.Error, "exceeds") {
+			t.Errorf("POST %s: error body %q, want the size-limit message", path, errResp.Error)
+		}
+	}
+}

@@ -95,8 +95,8 @@ func TestShardedServer(t *testing.T) {
 }
 
 // TestShardedConfigValidation pins the rejection surfaces: a negative
-// server default fails construction, and negative wire values fail the
-// session-create request.
+// server default or a removed index backend fails construction, and
+// negative or removed wire values fail the session-create request.
 func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(Config{
 		Datasets: map[string]*dataset.Dataset{"test": testData(t, 60, 3)},
@@ -104,9 +104,15 @@ func TestShardedConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("New accepted a negative shard count")
 	}
+	if _, err := New(Config{
+		Datasets: map[string]*dataset.Dataset{"test": testData(t, 60, 3)},
+		Index:    "kmtree",
+	}); err == nil || !strings.Contains(err.Error(), "exact, vafile") {
+		t.Errorf("New with a removed index backend: err = %v, want one listing exact, vafile", err)
+	}
 	_, ts := newTestServer(t, Config{})
 	c := newClient(t, ts)
-	for _, cfg := range []wire.SessionConfig{{Shards: -2}, {Workers: -1}} {
+	for _, cfg := range []wire.SessionConfig{{Shards: -2}, {Workers: -1}, {Index: "rtree"}, {Index: "igrid"}} {
 		var errResp wire.Error
 		code := c.do("POST", "/v1/sessions", wire.CreateSessionRequest{
 			Dataset: "test", QueryRow: intPtr(3), User: "heuristic", Config: cfg,

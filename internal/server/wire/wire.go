@@ -315,11 +315,10 @@ type SessionConfig struct {
 	// Backend tuning stays at engine defaults over the wire.
 	Index string `json:"index,omitempty"`
 	// Shards is the engine partition width: 0 takes the server default,
-	// 1 forces the single-partition path (byte-identical to pre-shard
-	// sessions), P ≥ 2 scatters the stage kernels over P row-disjoint
-	// shards with deterministic in-order merges. Results at P ≥ 2 agree
-	// with P = 1 within float re-association (≤ 1e-10 relative) and
-	// select identical member sets.
+	// and P ≥ 1 scatters the stage kernels over P row-disjoint shards
+	// with deterministic in-order merges (P = 1 is one shard holding every
+	// row). Results at P ≥ 2 agree with P = 1 within float re-association
+	// (≤ 1e-10 relative) and select identical member sets.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"innsearch/internal/core"
@@ -185,6 +186,18 @@ func TestSessionConfigToCore(t *testing.T) {
 	}
 	if _, err := (SessionConfig{Mode: "bogus"}).ToCore(); err == nil {
 		t.Error("bogus mode accepted")
+	}
+	for _, name := range []string{"exact", "vafile"} {
+		if cfg, err := (SessionConfig{Index: name}).ToCore(); err != nil || cfg.Index.Name != name {
+			t.Errorf("index %q → %+v, %v", name, cfg.Index, err)
+		}
+	}
+	// Removed backends fail with an error naming the known ones.
+	for _, name := range []string{"kmtree", "rtree", "igrid", "bogus"} {
+		_, err := SessionConfig{Index: name}.ToCore()
+		if err == nil || !strings.Contains(err.Error(), "exact, vafile") {
+			t.Errorf("index %q: err = %v, want one listing exact, vafile", name, err)
+		}
 	}
 }
 

@@ -142,8 +142,7 @@ type Shard interface {
 	// BuildIndex (re)builds the shard's candidate-generation backend over
 	// its rows; Candidates queries it for up to k candidates with
 	// positions global to the stage input. CandidatesAxis is the
-	// axis-subspace variant (index.AxisSearcher), erroring when the
-	// shard's backend does not support axis masks.
+	// axis-subspace variant (index.Backend.KNNAxis).
 	BuildIndex(ctx context.Context, cfg index.Config) error
 	Candidates(ctx context.Context, q linalg.Vector, k int) ([]index.Candidate, index.Stats, error)
 	CandidatesAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error)
@@ -348,11 +347,7 @@ func (l *Local) Candidates(ctx context.Context, q linalg.Vector, k int) ([]index
 // positions translated to stage-global, like Candidates.
 func (l *Local) CandidatesAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error) {
 	return l.query(func(b index.Backend) ([]index.Candidate, index.Stats, error) {
-		as, ok := b.(index.AxisSearcher)
-		if !ok {
-			return nil, index.Stats{}, fmt.Errorf("shard %d: backend %s cannot serve axis scans", l.id, b.Name())
-		}
-		return as.KNNAxis(ctx, qaxis, axes, k)
+		return b.KNNAxis(ctx, qaxis, axes, k)
 	})
 }
 
