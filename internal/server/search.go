@@ -50,13 +50,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// sessions may interleave events.
 	cfg.Tracer = s.sessionTracer("", RequestID(r.Context()))
 
-	s.metrics.BatchSearches.Add(1)
-	s.metrics.BatchQueries.Add(int64(len(queries)))
-	s.metrics.LiveSessionViews.Add(int64(len(queries)))
+	s.metrics.add(batchSearches, 1)
+	s.metrics.add(batchQueries, int64(len(queries)))
+	s.metrics.add(liveSessionViews, int64(len(queries)))
 	start := time.Now()
 	results, errs, err := core.SearchBatch(r.Context(), ds, queries, users, cfg)
-	s.metrics.batchSearch.Observe(time.Since(start).Seconds())
-	s.metrics.LiveSessionViews.Add(-int64(len(queries)))
+	s.metrics.observe(batchSearch, time.Since(start).Seconds())
+	s.metrics.add(liveSessionViews, -int64(len(queries)))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

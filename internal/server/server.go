@@ -39,7 +39,6 @@ import (
 	"innsearch/internal/core"
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
-	"innsearch/internal/parallel"
 	"innsearch/internal/server/wire"
 	"innsearch/internal/telemetry"
 	"innsearch/internal/user"
@@ -298,12 +297,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
-	poolActive, poolQueued := parallel.Stats()
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(
-		s.store.active(), s.store.isDraining(), s.residentBytes, poolActive, poolQueued, s.cfg.Index, s.cfg.Shards))
-}
-
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	resp := wire.DatasetsResponse{}
 	for name, ds := range s.cfg.Datasets {
@@ -434,7 +427,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.store.add(sess); err != nil {
 		cancel(nil)
-		s.metrics.SessionsRejected.Add(1)
+		s.metrics.add(sessionsRejected, 1)
 		switch {
 		case errors.Is(err, errDraining):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -443,11 +436,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.metrics.SessionsCreated.Add(1)
-	s.metrics.LiveSessionViews.Add(1)
+	s.metrics.add(sessionsCreated, 1)
+	s.metrics.add(liveSessionViews, 1)
 
 	go func() {
-		defer s.metrics.LiveSessionViews.Add(-1)
+		defer s.metrics.add(liveSessionViews, -1)
 		res, runErr := engine.RunContext(ctx)
 		if runErr != nil {
 			// Surface the cancellation cause (view timeout, eviction,
@@ -462,13 +455,13 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 		switch state, _, _ := sess.outcome(); state {
 		case wire.StateDone:
-			s.metrics.SessionsDone.Add(1)
+			s.metrics.add(sessionsDone, 1)
 		case wire.StateClosed:
-			s.metrics.SessionsClosed.Add(1)
+			s.metrics.add(sessionsClosed, 1)
 		case wire.StateEvicted:
 			// counted by the sweeper
 		default:
-			s.metrics.SessionsFailed.Add(1)
+			s.metrics.add(sessionsFailed, 1)
 		}
 		cancel(nil)
 	}()
@@ -520,7 +513,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			if !v.Deadline.IsZero() {
 				resp.DeadlineMS = time.Until(v.Deadline).Milliseconds()
 			}
-			s.metrics.ViewsServed.Add(1)
+			s.metrics.add(viewsServed, 1)
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -565,7 +558,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForUserErr(err), "%v", err)
 		return
 	}
-	s.metrics.Previews.Add(1)
+	s.metrics.add(previews, 1)
 	writeJSON(w, http.StatusOK, wire.PreviewResponse{Seq: seq, Region: wire.FromRegion(reg, profile)})
 }
 
@@ -596,17 +589,17 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if state, _, serr := sessionStateIfDead(sess); state != "" {
-		s.metrics.DecisionsRejected.Add(1)
+		s.metrics.add(decisionsRejected, 1)
 		writeError(w, http.StatusGone, "session %s: %v", state, serr)
 		return
 	}
 	latency, err := sess.remote.SubmitDecision(req.Seq, req.Decision.ToCore())
 	if err != nil {
-		s.metrics.DecisionsRejected.Add(1)
+		s.metrics.add(decisionsRejected, 1)
 		writeError(w, statusForUserErr(err), "%v", err)
 		return
 	}
-	s.metrics.Decisions.Add(1)
+	s.metrics.add(decisions, 1)
 	// The decision-wait histogram is fed by the engine's decision_wait
 	// trace events through the metrics bridge; observing here too would
 	// double-count. The response still reports this view's wait.

@@ -236,7 +236,7 @@ func TestEndToEndMatchesInProcess(t *testing.T) {
 // the remote adapters, and the engine goroutines together.
 func TestConcurrentSessions(t *testing.T) {
 	ds := testData(t, 120, 7)
-	srv, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		Datasets:    map[string]*dataset.Dataset{"test": ds},
 		MaxSessions: 64,
 	})
@@ -274,7 +274,10 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	v := srv.metrics.snapshot(srv.store.active(), false, srv.residentBytes, 0, 0, "", 0)
+	var v varzDoc
+	if code := newClient(t, ts).do("GET", "/varz", nil, &v); code != http.StatusOK {
+		t.Fatalf("varz: status %d", code)
+	}
 	if v.SessionsDone != sessions {
 		t.Errorf("varz sessions_done = %d, want %d", v.SessionsDone, sessions)
 	}
@@ -321,7 +324,7 @@ func TestTTLEvictionVisibleInVarz(t *testing.T) {
 	// session) until the sweeper reports the eviction.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var v varz
+		var v varzDoc
 		if code := c.do("GET", "/varz", nil, &v); code != http.StatusOK {
 			t.Fatalf("varz: status %d", code)
 		}

@@ -56,7 +56,7 @@ func TestShardedServer(t *testing.T) {
 			if strings.Contains(text, "innsearch_shard_gather_seconds_count 0\n") {
 				t.Error("sharded session fed no shard_gather observations")
 			}
-			var v varz
+			var v varzDoc
 			if code := c.do("GET", "/varz", nil, &v); code != http.StatusOK {
 				t.Fatalf("varz: status %d", code)
 			}

@@ -209,7 +209,7 @@ func (st *store) sweep() {
 	st.mu.Unlock()
 	for _, s := range evict {
 		s.cancel(fmt.Errorf("%w (idle %v > ttl %v)", errEvicted, s.idle().Round(time.Millisecond), st.ttl))
-		st.metrics.SessionsEvicted.Add(1)
+		st.metrics.add(sessionsEvicted, 1)
 	}
 }
 

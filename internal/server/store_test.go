@@ -105,7 +105,7 @@ func TestStoreDrainCancelsStragglers(t *testing.T) {
 }
 
 func TestStoreSweepEvictsIdleAndReapsTombstones(t *testing.T) {
-	m := &metrics{}
+	m := newMetrics()
 	st := newStore(4, 30*time.Millisecond, time.Hour, m)
 	defer st.close()
 	s, _ := fakeSession("idle")
@@ -113,12 +113,12 @@ func TestStoreSweepEvictsIdleAndReapsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.sweep() // fresh: untouched
-	if got := m.SessionsEvicted.Load(); got != 0 {
+	if got := m.byID[sessionsEvicted].n.Load(); got != 0 {
 		t.Fatalf("fresh session evicted (%d)", got)
 	}
 	time.Sleep(40 * time.Millisecond)
 	st.sweep()
-	if got := m.SessionsEvicted.Load(); got != 1 {
+	if got := m.byID[sessionsEvicted].n.Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	select {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,53 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Errorf("/metrics drifted from golden file.\n got:\n%s\nwant:\n%s", body, want)
+	}
+}
+
+// updateVarz regenerates the /varz golden file:
+// go test ./internal/server -run VarzGolden -update-varz
+var updateVarz = flag.Bool("update-varz", false, "rewrite the /varz golden file")
+
+// TestVarzGolden pins the /varz JSON of a fresh server: every key, its
+// nesting and its value type. Both sides decode into map[string]any, so
+// key order does not matter but a renamed key, a moved block or a bool
+// that became a number does.
+func TestVarzGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := ts.Client().Get(ts.URL + "/varz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "varz_golden.json")
+	if *updateVarz {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, body, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-varz to create): %v", err)
+	}
+	var got, want map[string]any
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("/varz is not a JSON object: %v\n%s", err, body)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/varz drifted from golden file.\n got:\n%s\nwant:\n%s", body, raw)
 	}
 }
 

@@ -23,12 +23,12 @@ const windowSlotDur = time.Minute
 // per-bucket atomic counters, an atomically-accumulated sum, an all-time
 // maximum, and a rolling-window maximum. Bucket bounds are upper bounds
 // (v ≤ bound) with an implicit +Inf bucket, matching Prometheus
-// cumulative-bucket semantics when exported.
+// cumulative-bucket semantics when exported. The total count is the sum
+// of the buckets, so a snapshot's +Inf bucket always equals its count.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
 
-	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits of the running sum
 	maxBits atomic.Uint64 // float64 bits of the all-time max
 
@@ -83,7 +83,10 @@ func NewHistogramWindow(bounds []float64, slot time.Duration, clock func() time.
 }
 
 // Observe records one value. NaN observations are dropped (they would
-// poison the sum); negative values land in the first bucket.
+// poison the sum); negative values land in the first bucket. The sum and
+// maxima are published before the bucket increment, so a concurrent
+// Snapshot (which reads the buckets first) never counts an observation
+// its Sum and Max do not yet cover.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -92,26 +95,30 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
+	h.addSumMax(v, v)
+	h.win.observe(v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
+}
+
+// addSumMax adds sum to the running sum and folds max into the all-time
+// maximum. The zero initial maximum makes Max effectively
+// max(0, observations), which is exact for the durations recorded here.
+func (h *Histogram) addSumMax(sum, max float64) {
 	for {
 		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
 			break
 		}
 	}
-	// CAS-max; the zero initial value makes Max effectively
-	// max(0, observations), which is exact for the durations recorded here.
 	for {
 		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v {
+		if math.Float64frombits(old) >= max {
 			break
 		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+		if h.maxBits.CompareAndSwap(old, math.Float64bits(max)) {
 			break
 		}
 	}
-	h.win.observe(v)
 }
 
 // Merge folds another histogram's observations into h: bucket counts and
@@ -133,34 +140,19 @@ func (h *Histogram) Merge(o *Histogram) error {
 		}
 	}
 	s := o.Snapshot()
-	for i := range h.counts {
-		h.counts[i].Add(s.Counts[i])
-	}
-	h.count.Add(s.Count)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+s.Sum)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= s.Max {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(s.Max)) {
-			break
-		}
-	}
+	h.addSumMax(s.Sum, s.Max)
 	if s.WindowMax > 0 {
 		h.win.observe(s.WindowMax)
+	}
+	for i := range h.counts {
+		h.counts[i].Add(s.Counts[i])
 	}
 	return nil
 }
 
-// HistogramSnapshot is a consistent-enough point-in-time read of a
-// histogram (each field is read atomically; fields may straddle a
-// concurrent Observe, which scrapes tolerate by design).
+// HistogramSnapshot is a point-in-time read of a histogram. Count is
+// always the sum of Counts. A concurrent Observe may already show in Sum
+// and Max but not yet in Counts, never the other way round.
 type HistogramSnapshot struct {
 	// Bounds are the finite upper bounds; Counts has one extra entry for
 	// the +Inf bucket. Counts are per-bucket, not cumulative.
@@ -229,19 +221,17 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Max
 }
 
-// Snapshot reads the histogram's current state.
+// Snapshot reads the histogram's current state: the buckets first, then
+// the sum and maxima that Observe published before its bucket increment.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-	}
-	if s.Count > 0 {
-		s.Max = math.Float64frombits(h.maxBits.Load())
-	}
+	s := HistogramSnapshot{Bounds: h.bounds, Counts: make([]int64, len(h.counts))}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
+	}
+	s.Sum = math.Float64frombits(h.sumBits.Load())
+	if s.Count > 0 {
+		s.Max = math.Float64frombits(h.maxBits.Load())
 	}
 	s.WindowMax = h.win.max()
 	return s

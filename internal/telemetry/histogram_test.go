@@ -87,41 +87,74 @@ func TestHistogramWindowEmpty(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(ExponentialBounds(0.001, 2, 10))
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 1000
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(float64(i%7) * 0.001)
+	bounds := ExponentialBounds(0.001, 2, 10)
+	observe := func(h *Histogram, goroutines, per int) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					h.Observe(float64(i%7) * 0.001)
+				}
+			}()
+		}
+		return &wg
+	}
+
+	t.Run("final", func(t *testing.T) {
+		h := NewHistogram(bounds)
+		const goroutines, per = 8, 1000
+		observe(h, goroutines, per).Wait()
+		s := h.Snapshot()
+		if s.Count != goroutines*per {
+			t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
+		}
+		var perGoroutine float64
+		for i := 0; i < per; i++ {
+			perGoroutine += float64(i%7) * 0.001
+		}
+		wantSum := float64(goroutines) * perGoroutine
+		if math.Abs(s.Sum-wantSum) > 1e-6 {
+			t.Fatalf("sum = %v, want %v", s.Sum, wantSum)
+		}
+		if s.Max != 0.006 {
+			t.Fatalf("max = %v, want 0.006", s.Max)
+		}
+	})
+
+	// A scrape racing the observers must still see a valid Prometheus
+	// histogram: the +Inf cumulative bucket equals _count, and every
+	// counted observation is already covered by Sum and Max.
+	t.Run("snapshot during observe", func(t *testing.T) {
+		h := NewHistogram(bounds)
+		wg := observe(h, 4, 20000)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for snaps := 0; ; snaps++ {
+			s := h.Snapshot()
+			var total int64
+			var floor, top float64 // lower bounds of the counted mass
+			for i, c := range s.Counts {
+				total += c
+				if c > 0 && i > 0 {
+					floor += float64(c) * s.Bounds[i-1]
+					top = s.Bounds[i-1]
+				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != goroutines*per {
-		t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
-	}
-	var bucketTotal int64
-	for _, c := range s.Counts {
-		bucketTotal += c
-	}
-	if bucketTotal != s.Count {
-		t.Fatalf("bucket total %d != count %d", bucketTotal, s.Count)
-	}
-	var perGoroutine float64
-	for i := 0; i < per; i++ {
-		perGoroutine += float64(i%7) * 0.001
-	}
-	wantSum := float64(goroutines) * perGoroutine
-	if math.Abs(s.Sum-wantSum) > 1e-6 {
-		t.Fatalf("sum = %v, want %v", s.Sum, wantSum)
-	}
-	if s.Max != 0.006 {
-		t.Fatalf("max = %v, want 0.006", s.Max)
-	}
+			if total != s.Count {
+				t.Fatalf("snapshot %d: bucket total %d != count %d", snaps, total, s.Count)
+			}
+			if s.Sum < floor-1e-9 || s.Max < top {
+				t.Fatalf("snapshot %d: sum %v / max %v do not cover the counted buckets %v", snaps, s.Sum, s.Max, s.Counts)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	})
 }
 
 func TestHistogramQuantile(t *testing.T) {
