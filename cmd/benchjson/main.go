@@ -14,9 +14,11 @@
 // The comparison is deliberately loose-jointed for shared CI runners:
 // only benchmarks slower than -min-ns in the baseline are gated (tiny
 // benchmarks are all scheduler noise), and a run must exceed
-// -max-ratio × baseline ns/op to fail. Benchmarks present on only one
-// side are reported but never fatal, so adding or retiring a benchmark
-// does not break the gate.
+// -max-ratio × baseline ns/op, or -max-ratio × baseline B/op, to fail.
+// The B/op gate skips records without -benchmem columns (bytes ≤ 0 in the
+// baseline, -1 in the run). Benchmarks present on only one side are
+// reported but never fatal, so adding or retiring a benchmark does not
+// break the gate.
 package main
 
 import (
@@ -106,17 +108,23 @@ func compare(w io.Writer, baseline, current []Record, maxRatio, minNs float64) [
 			fmt.Fprintf(w, "NEW    %-55s %14.0f ns/op (no baseline)\n", cur.Name, cur.NsPerOp)
 			continue
 		}
-		ratio := cur.NsPerOp / b.NsPerOp
-		switch {
-		case b.NsPerOp < minNs:
+		if b.NsPerOp < minNs {
 			fmt.Fprintf(w, "SKIP   %-55s %14.0f ns/op (baseline under %.0f ns floor)\n", cur.Name, cur.NsPerOp, minNs)
-		case ratio > maxRatio:
-			fmt.Fprintf(w, "FAIL   %-55s %14.0f ns/op vs %14.0f (%.2fx > %.2fx)\n",
-				cur.Name, cur.NsPerOp, b.NsPerOp, ratio, maxRatio)
+			continue
+		}
+		ratio := cur.NsPerOp / b.NsPerOp
+		bad := ratio > maxRatio
+		verdict := fmt.Sprintf("%14.0f ns/op vs %14.0f (%.2fx)", cur.NsPerOp, b.NsPerOp, ratio)
+		if b.BytesPerOp > 0 && cur.BytesPerOp >= 0 {
+			bratio := float64(cur.BytesPerOp) / float64(b.BytesPerOp)
+			bad = bad || bratio > maxRatio
+			verdict += fmt.Sprintf(", %12d B/op vs %12d (%.2fx)", cur.BytesPerOp, b.BytesPerOp, bratio)
+		}
+		if bad {
+			fmt.Fprintf(w, "FAIL   %-55s %s > %.2fx\n", cur.Name, verdict, maxRatio)
 			failed = append(failed, cur.Name)
-		default:
-			fmt.Fprintf(w, "OK     %-55s %14.0f ns/op vs %14.0f (%.2fx)\n",
-				cur.Name, cur.NsPerOp, b.NsPerOp, ratio)
+		} else {
+			fmt.Fprintf(w, "OK     %-55s %s\n", cur.Name, verdict)
 		}
 	}
 	for _, b := range baseline {
@@ -132,7 +140,7 @@ func main() {
 		in       = flag.String("in", "", "bench output file (default: stdin)")
 		out      = flag.String("out", "", "write parsed records as JSON to this path (default: stdout when not comparing)")
 		baseline = flag.String("baseline", "", "baseline JSON to compare against; exit 1 on regression")
-		maxRatio = flag.Float64("max-ratio", 2.0, "fail when ns/op exceeds this multiple of the baseline")
+		maxRatio = flag.Float64("max-ratio", 2.0, "fail when ns/op or B/op exceeds this multiple of the baseline")
 		minNs    = flag.Float64("min-ns", 1e6, "gate only benchmarks whose baseline ns/op is at least this (noise floor)")
 	)
 	flag.Parse()

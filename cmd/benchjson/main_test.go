@@ -63,3 +63,31 @@ func TestCompareGate(t *testing.T) {
 		t.Errorf("1.9x flagged as regression: %v", failed)
 	}
 }
+
+func TestCompareGateBytes(t *testing.T) {
+	base := []Record{
+		{Name: "BenchmarkAlloc", NsPerOp: 10e6, BytesPerOp: 1 << 20},
+		{Name: "BenchmarkNoMem", NsPerOp: 10e6, BytesPerOp: -1},      // baseline without -benchmem
+		{Name: "BenchmarkRunNoMem", NsPerOp: 10e6, BytesPerOp: 1000}, // run without -benchmem
+		{Name: "BenchmarkTinyAlloc", NsPerOp: 1000, BytesPerOp: 10},  // under the ns floor
+	}
+	cur := []Record{
+		{Name: "BenchmarkAlloc", NsPerOp: 10e6, BytesPerOp: 2 << 20}, // same time, 2x bytes
+		{Name: "BenchmarkNoMem", NsPerOp: 10e6, BytesPerOp: 5 << 20},
+		{Name: "BenchmarkRunNoMem", NsPerOp: 10e6, BytesPerOp: -1},
+		{Name: "BenchmarkTinyAlloc", NsPerOp: 1000, BytesPerOp: 1000},
+	}
+	var sb strings.Builder
+	failed := compare(&sb, base, cur, 1.5, 1e6)
+	if len(failed) != 1 || failed[0] != "BenchmarkAlloc" {
+		t.Fatalf("failed = %v, want [BenchmarkAlloc]\n%s", failed, sb.String())
+	}
+	if !strings.Contains(sb.String(), "B/op") {
+		t.Errorf("report does not show B/op:\n%s", sb.String())
+	}
+	// Within budget on both axes passes.
+	ok := []Record{{Name: "BenchmarkAlloc", NsPerOp: 14e6, BytesPerOp: 3 << 19}}
+	if failed := compare(&strings.Builder{}, base, ok, 1.5, 1e6); len(failed) != 0 {
+		t.Errorf("1.4x time and 1.5x bytes flagged as regression: %v", failed)
+	}
+}

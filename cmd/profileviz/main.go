@@ -97,9 +97,8 @@ func main() {
 	fmt.Printf("discrimination %.3f  query/peak %.3f  sharpness %.2f\n",
 		profile.Discrimination, st.QueryRatio, st.Sharpness)
 	if reg, err := profile.Region(tau); err == nil {
-		sel := reg.SelectPoints(profile.Points.Col(0), profile.Points.Col(1))
 		fmt.Printf("τ = %.4g selects %d of %d points (%d cells, mass %.2f)\n",
-			tau, len(sel), ds.N(), reg.Cells, reg.Mass())
+			tau, reg.CountSource(kde.MatrixXY{M: profile.Points}), ds.N(), reg.Cells, reg.Mass())
 	}
 
 	if *pngOut != "" {

@@ -26,8 +26,10 @@ type VisualProfile struct {
 	// QueryDensity is the (bilinearly interpolated) density at the query.
 	QueryDensity float64
 	// Points holds the n×2 projected coordinates of the current data.
+	// It is read-only: the profile is shared with the user and observers.
 	Points *linalg.Matrix
-	// IDs holds the original row ID of each row of Points.
+	// IDs holds the original row ID of each row of Points. It is
+	// read-only: every profile of one major iteration shares the slice.
 	IDs []int
 	// Projection is the 2-D subspace (in current session coordinates).
 	Projection *linalg.Subspace
@@ -147,17 +149,24 @@ func BuildProfile(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, s
 // shards once ctx is canceled. Parallelism is controlled by opts.Workers.
 func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options) (*VisualProfile, error) {
 	coord := shard.New(shard.Config{Workers: opts.Workers})
-	return buildProfile(ctx, ds.View(), q, proj, support, opts, &searchScratch{}, nil, coord)
+	v := ds.View()
+	p, err := buildProfile(ctx, v, q, proj, support, opts, &searchScratch{}, nil, coord)
+	if err != nil {
+		return nil, err
+	}
+	p.IDs = v.IDs()
+	return p, nil
 }
 
 // buildProfile is the view-level implementation behind BuildProfile;
-// sessions call it directly on their narrowed views. The projected
-// coordinates come from composing the projection onto the view — the same
-// float-operation order as the eager ProjectRows path, materialized once
-// and shared by the density estimate, the selection passes, and the
-// profile's Points field. The density partials (extent, spread, lattice)
-// scatter over the coordinator and merge in shard order; at P=1 that is
-// kde.Estimate2DContext bit for bit.
+// sessions call it directly on their narrowed views. It leaves IDs unset
+// for the caller, which may share one slice across many profiles. The
+// projected coordinates come from composing the projection onto the view
+// — the same float-operation order as the eager ProjectRows path,
+// materialized once and shared by the density estimate, the selection
+// passes, and the profile's Points field. The density partials (extent,
+// spread, lattice) scatter over the coordinator and merge in shard order;
+// at P=1 that is kde.Estimate2DContext bit for bit.
 func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options, scr *searchScratch, gen *candGen, coord *shard.Coordinator) (*VisualProfile, error) {
 	pv, err := v.Compose(proj)
 	if err != nil {
@@ -195,7 +204,6 @@ func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *l
 		QueryY:         qy,
 		QueryDensity:   g.InterpAt(qx, qy),
 		Points:         pts,
-		IDs:            v.IDs(),
 		Projection:     proj,
 		Discrimination: disc,
 		RemainingDim:   v.Dim(),

@@ -494,6 +494,10 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 	if s.tr.enabled() {
 		round = roundSpanID(s.iter)
 	}
+	// Every frame of the sweep holds the same rows in the same order (a
+	// composed frame delegates ID to its base), so one ID slice serves all
+	// of the sweep's profiles.
+	ids := dc.IDs()
 
 	for minor := 1; minor <= d/2; minor++ {
 		if dc.Dim() < 2 || dc.N() < 2 {
@@ -502,7 +506,7 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		profile, decision, err := s.presentView(ctx, dc, qc, psearch, minor, round)
+		profile, decision, err := s.presentView(ctx, dc, qc, ids, psearch, minor, round)
 		if err != nil {
 			return fmt.Errorf("core: major %d minor %d: %w", s.iter, minor, err)
 		}
@@ -552,7 +556,12 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 			}
 			for _, pos := range positions {
 				counts[pos] += w
-				pickedIDs = append(pickedIDs, dc.ID(pos))
+			}
+			if s.cfg.Observer.OnProfile != nil && len(positions) > 0 {
+				pickedIDs = make([]int, len(positions))
+				for i, pos := range positions {
+					pickedIDs[i] = ids[pos]
+				}
 			}
 			picks = append(picks, PickStats{Picked: len(positions), Weight: w})
 		} else {
@@ -644,7 +653,7 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 // tightness-style statistic is optimistically biased toward the more
 // expressive arbitrary family — and judging views is exactly what the
 // paper keeps the human for.
-func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.Vector, psearch ProjectionSearch, minor int, round string) (*VisualProfile, Decision, error) {
+func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.Vector, ids []int, psearch ProjectionSearch, minor int, round string) (*VisualProfile, Decision, error) {
 	if s.gen != nil {
 		s.gen.minor = minor
 	}
@@ -717,6 +726,7 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 		}
 		profile.Major = s.iter
 		profile.Minor = minor
+		profile.IDs = ids
 		profile.OriginalN = s.originalN
 		var t2 time.Time
 		if s.tr.enabled() {

@@ -29,13 +29,16 @@ func TestSelectPointsContextMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, ys := pts.Col(0), pts.Col(1)
-	serial := reg.SelectPoints(xs, ys)
+	src := kde.MatrixXY{M: pts}
+	serial, err := reg.SelectSourceContext(context.Background(), 1, src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial) == 0 {
 		t.Fatal("test region selected nothing; adjust tau")
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, err := reg.SelectPointsContext(context.Background(), workers, xs, ys)
+		got, err := reg.SelectSourceContext(context.Background(), workers, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,12 @@ func PolygonSelect(xs, ys []float64, qx, qy float64, lines []Line) ([]int, error
 	return PolygonSelectSource(slicesXY{xs, ys}, qx, qy, lines)
 }
 
+// slicesXY adapts a pair of coordinate slices to kde.XYSource.
+type slicesXY struct{ xs, ys []float64 }
+
+func (s slicesXY) Len() int                    { return len(s.xs) }
+func (s slicesXY) XY(i int) (float64, float64) { return s.xs[i], s.ys[i] }
+
 // PolygonSelectSource is PolygonSelect over a kde.XYSource — the
 // row-accessor form used to select directly from projected dataset views.
 func PolygonSelectSource(pts kde.XYSource, qx, qy float64, lines []Line) ([]int, error) {

@@ -60,36 +60,55 @@ func FindRegion(g *kde.Grid, qx, qy, tau float64) (*Region, error) {
 		QueryCX: cx,
 		QueryCY: cy,
 	}
+	// The queue is allocated before the query rectangle's own test so the
+	// allocation count is the same at every τ.
+	queue := make([]int32, side*side)
 	r.Examined = 1
 	if !cellQualifies(g, cx, cy, tau) {
 		return r, nil
 	}
-	// BFS over side-adjacent qualifying rectangles.
-	type cell struct{ x, y int }
-	queue := []cell{{cx, cy}}
 	r.member[cy*side+cx] = true
-	r.Cells = 1
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, nb := range [4]cell{{c.x - 1, c.y}, {c.x + 1, c.y}, {c.x, c.y - 1}, {c.x, c.y + 1}} {
-			if nb.x < 0 || nb.y < 0 || nb.x >= side || nb.y >= side {
+	added, examined := flood(g, tau, r.member, queue, cx, cy)
+	r.Cells = 1 + added
+	r.Examined += examined
+	return r, nil
+}
+
+// flood is the breadth-first search behind FindRegion and ComponentCount.
+// Starting from rectangle (sx, sy), which the caller has already marked in
+// seen, it visits side-adjacent rectangles in FIFO order, neighbours
+// left, right, below, above. Each unseen in-range neighbour is tested
+// (counted in examined); a qualifying one is marked in seen, counted in
+// added and enqueued. Every rectangle enters the queue at most once, so
+// queue — scratch of length side², indexed cy*side+cx — never wraps.
+func flood(g *kde.Grid, tau float64, seen []bool, queue []int32, sx, sy int) (added, examined int) {
+	side := g.P - 1
+	queue[0] = int32(sy*side + sx)
+	head, tail := 0, 1
+	for head < tail {
+		c := int(queue[head])
+		head++
+		x, y := c%side, c/side
+		for _, nb := range [4][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
+			nx, ny := nb[0], nb[1]
+			if nx < 0 || ny < 0 || nx >= side || ny >= side {
 				continue
 			}
-			idx := nb.y*side + nb.x
-			if r.member[idx] {
+			idx := ny*side + nx
+			if seen[idx] {
 				continue
 			}
-			r.Examined++
-			if !cellQualifies(g, nb.x, nb.y, tau) {
+			examined++
+			if !cellQualifies(g, nx, ny, tau) {
 				continue
 			}
-			r.member[idx] = true
-			r.Cells++
-			queue = append(queue, nb)
+			seen[idx] = true
+			added++
+			queue[tail] = int32(idx)
+			tail++
 		}
 	}
-	return r, nil
+	return added, examined
 }
 
 // cellQualifies reports whether at least three of the four corners of the
@@ -165,35 +184,29 @@ func (r *Region) Mass() float64 {
 	return mass
 }
 
-// SelectPoints returns the indices (rows of pts, an n×2 matrix of projected
-// coordinates) of points lying inside the region.
-func (r *Region) SelectPoints(xs, ys []float64) []int {
-	out, _ := r.SelectPointsContext(context.Background(), 1, xs, ys)
-	return out
-}
-
-// SelectPointsContext is SelectPoints with cooperative cancellation and a
-// worker count (≤ 0 means GOMAXPROCS): the per-point membership pass is
-// sharded into contiguous index ranges whose matches are concatenated in
-// shard order, so the returned indices are identical — same values, same
-// ascending order — at any worker count. The only possible error is the
-// context's.
-func (r *Region) SelectPointsContext(ctx context.Context, workers int, xs, ys []float64) ([]int, error) {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("grid: SelectPoints length mismatch %d vs %d", len(xs), len(ys)))
+// CountSource returns the number of points of pts inside the region:
+// len of SelectSourceContext's result, counted without building it. It
+// allocates nothing, so a user previewing many separator heights pays
+// only for the membership tests.
+func (r *Region) CountSource(pts kde.XYSource) int {
+	if r.Cells == 0 {
+		return 0
 	}
-	return r.SelectSourceContext(ctx, workers, slicesXY{xs, ys})
+	count := 0
+	for i, n := 0, pts.Len(); i < n; i++ {
+		if r.ContainsPoint(pts.XY(i)) {
+			count++
+		}
+	}
+	return count
 }
 
-// slicesXY adapts a pair of coordinate slices to kde.XYSource.
-type slicesXY struct{ xs, ys []float64 }
-
-func (s slicesXY) Len() int                  { return len(s.xs) }
-func (s slicesXY) XY(i int) (float64, float64) { return s.xs[i], s.ys[i] }
-
-// SelectSourceContext is SelectPointsContext over a kde.XYSource — the
-// row-accessor form the engine feeds its projected dataset views through,
-// avoiding the per-call column copies of the slice API.
+// SelectSourceContext returns the indices (rows of pts) of the points
+// lying inside the region, in ascending order. It takes cooperative
+// cancellation and a worker count (≤ 0 means GOMAXPROCS): the per-point
+// membership pass is sharded into contiguous index ranges whose matches
+// are concatenated in shard order, so the returned indices are identical
+// at any worker count. The only possible error is the context's.
 func (r *Region) SelectSourceContext(ctx context.Context, workers int, pts kde.XYSource) ([]int, error) {
 	n := pts.Len()
 	shards := parallel.NumShards(workers, n)
@@ -213,7 +226,11 @@ func (r *Region) SelectSourceContext(ctx context.Context, workers int, pts kde.X
 	if shards == 1 {
 		return parts[0], nil
 	}
-	var out []int
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]int, 0, total)
 	for _, p := range parts {
 		out = append(out, p...)
 	}
@@ -228,31 +245,16 @@ func (r *Region) SelectSourceContext(ctx context.Context, workers int, pts kde.X
 func ComponentCount(g *kde.Grid, tau float64) int {
 	side := g.P - 1
 	seen := make([]bool, side*side)
+	queue := make([]int32, side*side)
 	count := 0
-	type cell struct{ x, y int }
 	for sy := 0; sy < side; sy++ {
 		for sx := 0; sx < side; sx++ {
 			if seen[sy*side+sx] || !cellQualifies(g, sx, sy, tau) {
 				continue
 			}
 			count++
-			queue := []cell{{sx, sy}}
 			seen[sy*side+sx] = true
-			for len(queue) > 0 {
-				c := queue[0]
-				queue = queue[1:]
-				for _, nb := range [4]cell{{c.x - 1, c.y}, {c.x + 1, c.y}, {c.x, c.y - 1}, {c.x, c.y + 1}} {
-					if nb.x < 0 || nb.y < 0 || nb.x >= side || nb.y >= side {
-						continue
-					}
-					idx := nb.y*side + nb.x
-					if seen[idx] || !cellQualifies(g, nb.x, nb.y, tau) {
-						continue
-					}
-					seen[idx] = true
-					queue = append(queue, nb)
-				}
-			}
+			flood(g, tau, seen, queue, sx, sy)
 		}
 	}
 	return count

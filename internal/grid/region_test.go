@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -32,6 +33,16 @@ func twoClusterGrid(t *testing.T, seed int64) (*kde.Grid, *linalg.Matrix) {
 	return g, m
 }
 
+// selectRows returns the rows of m (an n×2 matrix) inside reg.
+func selectRows(t *testing.T, reg *Region, m *linalg.Matrix) []int {
+	t.Helper()
+	sel, err := reg.SelectSourceContext(context.Background(), 1, kde.MatrixXY{M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 func TestFindRegionSeparatesClusters(t *testing.T) {
 	g, m := twoClusterGrid(t, 1)
 	tau := 0.3 * g.MaxDensity()
@@ -42,8 +53,7 @@ func TestFindRegionSeparatesClusters(t *testing.T) {
 	if reg.Empty() {
 		t.Fatal("region empty at cluster center")
 	}
-	xs, ys := m.Col(0), m.Col(1)
-	sel := reg.SelectPoints(xs, ys)
+	sel := selectRows(t, reg, m)
 	// All selected points must come from the first cluster (indices <300).
 	for _, i := range sel {
 		if i >= 300 {
@@ -82,7 +92,7 @@ func TestFindRegionTauZeroIncludesEverything(t *testing.T) {
 	if reg.Cells != side*side {
 		t.Errorf("τ=0 region has %d cells, want all %d", reg.Cells, side*side)
 	}
-	sel := reg.SelectPoints(m.Col(0), m.Col(1))
+	sel := selectRows(t, reg, m)
 	if len(sel) != m.Rows {
 		t.Errorf("τ=0 selected %d of %d points", len(sel), m.Rows)
 	}
@@ -162,17 +172,6 @@ func TestRegionAreaAndMass(t *testing.T) {
 	}
 }
 
-func TestSelectPointsMismatchPanics(t *testing.T) {
-	g, _ := twoClusterGrid(t, 9)
-	reg, _ := FindRegion(g, 0, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	reg.SelectPoints([]float64{1, 2}, []float64{1})
-}
-
 func TestContainsCellBounds(t *testing.T) {
 	g, _ := twoClusterGrid(t, 10)
 	reg, _ := FindRegion(g, 0, 0, 0)
@@ -249,7 +248,11 @@ func TestPropertySelectedPointsHaveQualifiedDensity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, i := range reg.SelectPoints(m.Col(0), m.Col(1)) {
+		sel, err := reg.SelectSourceContext(context.Background(), 1, kde.MatrixXY{M: m})
+		if err != nil {
+			return false
+		}
+		for _, i := range sel {
 			// The interpolated density at a selected point should be at
 			// least within a kernel-width of the threshold; use a loose
 			// sanity factor.

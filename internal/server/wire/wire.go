@@ -209,12 +209,14 @@ func FromRegion(reg *grid.Region, p *core.VisualProfile) Region {
 			}
 		}
 	}
-	positions := reg.SelectPoints(p.Points.Col(0), p.Points.Col(1))
-	out.SelectedIDs = make([]int, len(positions))
-	for i, pos := range positions {
-		out.SelectedIDs[i] = p.IDs[pos]
+	pts := kde.MatrixXY{M: p.Points}
+	out.SelectedIDs = make([]int, 0, reg.CountSource(pts))
+	for i := 0; i < p.Points.Rows; i++ {
+		if reg.ContainsPoint(pts.XY(i)) {
+			out.SelectedIDs = append(out.SelectedIDs, p.IDs[i])
+		}
 	}
-	out.SelectedCount = len(positions)
+	out.SelectedCount = len(out.SelectedIDs)
 	return out
 }
 

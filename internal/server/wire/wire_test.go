@@ -246,16 +246,14 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	// A region preview computed on the decoded profile selects the same
 	// points as one computed on the original.
-	want, err := p.Region(0.2)
+	ws, err := p.SelectAt(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Region(0.2)
+	hs, err := got.SelectAt(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := want.SelectPoints(p.Points.Col(0), p.Points.Col(1))
-	hs := have.SelectPoints(got.Points.Col(0), got.Points.Col(1))
 	if len(ws) != len(hs) {
 		t.Fatalf("region selections differ: %v vs %v", ws, hs)
 	}

@@ -54,9 +54,8 @@ func (t *Terminal) SeparateCluster(p *core.VisualProfile, preview func(tau float
 					len(lines), len(sel), p.Points.Rows)
 			}
 		} else if reg := preview(tau); reg != nil {
-			sel := reg.SelectPoints(p.Points.Col(0), p.Points.Col(1))
 			fmt.Fprintf(t.Out, "separator at %.2f × query density selects %d of %d points\n",
-				frac, len(sel), p.Points.Rows)
+				frac, reg.CountSource(kde.MatrixXY{M: p.Points}), p.Points.Rows)
 		}
 		fmt.Fprint(t.Out, "τ fraction (0..1), 'a' accept, 's' skip, 'h' marginals, 'l x1,y1,x2,y2' add line, 'c' clear lines > ")
 		if !t.scanner.Scan() {

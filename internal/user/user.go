@@ -32,10 +32,12 @@
 package user
 
 import (
+	"context"
 	"math/rand"
 
 	"innsearch/internal/core"
 	"innsearch/internal/grid"
+	"innsearch/internal/kde"
 	"innsearch/internal/stats"
 )
 
@@ -115,14 +117,14 @@ func (o *Oracle) SeparateCluster(p *core.VisualProfile, preview func(tau float64
 		return core.Decision{Skip: true} // query in a dead zone
 	}
 	bestTau, bestF1 := 0.0, -1.0
-	xs, ys := p.Points.Col(0), p.Points.Col(1)
+	pts := kde.MatrixXY{M: p.Points}
 	for _, frac := range ladder {
 		tau := frac * ref
 		reg := preview(tau)
 		if reg == nil || reg.Empty() {
 			continue
 		}
-		positions := reg.SelectPoints(xs, ys)
+		positions, _ := reg.SelectSourceContext(context.Background(), 1, pts)
 		if float64(len(positions)) > maxFrac*float64(p.OriginalN) {
 			continue
 		}
@@ -205,6 +207,10 @@ func (h *Heuristic) params() (peakRatio, disc, maxFrac, maxGrowth float64, minPt
 	return peakRatio, disc, maxFrac, maxGrowth, minPts, minStable
 }
 
+// heuristicMults are the separator heights the Heuristic previews, as
+// multiples of the query density, from just below it downwards.
+var heuristicMults = [...]float64{0.95, 0.85, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.18, 0.12}
+
 // SeparateCluster implements core.User. The separator starts just below
 // the query's own density and is lowered step by step — the interactive
 // convergence of Figure 6. The view is answered only when the region's
@@ -223,14 +229,13 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	if refN < p.Points.Rows {
 		refN = p.Points.Rows
 	}
-	xs, ys := p.Points.Col(0), p.Points.Col(1)
-	mults := []float64{0.95, 0.85, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25, 0.18, 0.12}
-	taus := make([]float64, len(mults))
-	counts := make([]int, len(mults))
-	for i, mult := range mults {
+	pts := kde.MatrixXY{M: p.Points}
+	var taus [len(heuristicMults)]float64
+	var counts [len(heuristicMults)]int
+	for i, mult := range heuristicMults {
 		taus[i] = mult * p.QueryDensity
-		if reg := preview(taus[i]); reg != nil && !reg.Empty() {
-			counts[i] = len(reg.SelectPoints(xs, ys))
+		if reg := preview(taus[i]); reg != nil {
+			counts[i] = reg.CountSource(pts)
 		}
 	}
 	// Longest run of stable transitions with admissible counts.
@@ -239,7 +244,7 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	admissible := func(i int) bool {
 		return counts[i] >= minPts && float64(counts[i]) <= maxFrac*float64(refN)
 	}
-	for i := 0; i < len(mults); i++ {
+	for i := 0; i < len(heuristicMults); i++ {
 		stable := i > runStart && admissible(i) && admissible(i-1) &&
 			float64(counts[i]) <= maxGrowth*float64(counts[i-1])
 		if !stable {
@@ -256,7 +261,7 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	// Confidence grows with the length of the stable stretch: the longer
 	// the separator can move without changing the answer, the more
 	// clearly the view separates the query cluster.
-	confidence := float64(bestEnd-bestStart) / float64(len(mults)-1)
+	confidence := float64(bestEnd-bestStart) / float64(len(heuristicMults)-1)
 	return core.Decision{Tau: taus[bestEnd], Confidence: confidence}
 }
 
