@@ -150,7 +150,11 @@ func BuildProfile(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, s
 func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options) (*VisualProfile, error) {
 	coord := shard.New(shard.Config{Workers: opts.Workers})
 	v := ds.View()
-	p, err := buildProfile(ctx, v, q, proj, support, opts, &searchScratch{}, nil, coord)
+	members, err := nearestPositions(ctx, coord, v, q, linalg.FullSpace(v.Dim()), support, &searchScratch{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	p, err := buildProfile(ctx, v, q, proj, members, opts, coord)
 	if err != nil {
 		return nil, err
 	}
@@ -159,15 +163,18 @@ func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vect
 }
 
 // buildProfile is the view-level implementation behind BuildProfile;
-// sessions call it directly on their narrowed views. It leaves IDs unset
-// for the caller, which may share one slice across many profiles. The
-// projected coordinates come from composing the projection onto the view
-// — the same float-operation order as the eager ProjectRows path,
-// materialized once and shared by the density estimate, the selection
-// passes, and the profile's Points field. The density partials (extent,
-// spread, lattice) scatter over the coordinator and merge in shard order;
-// at P=1 that is kde.Estimate2DContext bit for bit.
-func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, opts kde.Options, scr *searchScratch, gen *candGen, coord *shard.Coordinator) (*VisualProfile, error) {
+// sessions call it directly on their narrowed views. members is the
+// query's full-space neighborhood the discrimination score measures: the
+// first support entries of the view's full-space ranking, which the
+// caller already holds. It leaves IDs unset for the caller, which may
+// share one slice across many profiles. The projected coordinates come
+// from composing the projection onto the view — the same float-operation
+// order as the eager ProjectRows path, materialized once and shared by the
+// density estimate, the discrimination score, the selection passes, and
+// the profile's Points field. The density partials (extent, spread,
+// lattice) scatter over the coordinator and merge in shard order; at P=1
+// that is kde.Estimate2DContext bit for bit.
+func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, members []int, opts kde.Options, coord *shard.Coordinator) (*VisualProfile, error) {
 	pv, err := v.Compose(proj)
 	if err != nil {
 		return nil, fmt.Errorf("core: project data: %w", err)
@@ -194,10 +201,9 @@ func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *l
 	if qy > g.MaxY {
 		qy = g.MaxY
 	}
-	disc, err := discriminationScoreContext(ctx, coord, v, q, proj, support, scr, gen)
-	if err != nil {
-		return nil, err
-	}
+	// Estimate2D has rejected non-finite coordinates, so an axis-aligned
+	// projection's Points columns are exactly the discrimination sweeps'
+	// values (see discriminationOf).
 	return &VisualProfile{
 		Grid:           g,
 		QueryX:         qx,
@@ -205,7 +211,7 @@ func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *l
 		QueryDensity:   g.InterpAt(qx, qy),
 		Points:         pts,
 		Projection:     proj,
-		Discrimination: disc,
+		Discrimination: discriminationOf(v, members, proj, pts),
 		RemainingDim:   v.Dim(),
 		OriginalN:      v.N(),
 	}, nil

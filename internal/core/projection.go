@@ -201,6 +201,40 @@ func varianceAlongUnit(v *dataset.View, positions []int, u linalg.Vector) float6
 	return variance
 }
 
+// columnVariance is varianceAlongUnit over column col of m: the same
+// one-pass accumulation over the same rows in the same order, so it
+// returns the same bits whenever the column holds the values the sweep's
+// dot products would produce.
+func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
+	n := len(positions)
+	if positions == nil {
+		n = m.Rows
+	}
+	if n < 2 {
+		return 0
+	}
+	var sum, sumSq float64
+	if positions == nil {
+		for i := 0; i < n; i++ {
+			p := m.Data[i*m.Cols+col]
+			sum += p
+			sumSq += p * p
+		}
+	} else {
+		for _, pos := range positions {
+			p := m.Data[pos*m.Cols+col]
+			sum += p
+			sumSq += p * p
+		}
+	}
+	mean := sum / float64(n)
+	variance := sumSq/float64(n) - mean*mean
+	if variance < 0 { // numeric noise
+		variance = 0
+	}
+	return variance
+}
+
 // clusterSubspace realizes QueryClusterSubspace (Figure 4): it returns the
 // l-dimensional subspace of within in which the query cluster (the rows of
 // v at positions members) is best distinguished from the full data — the
@@ -453,13 +487,32 @@ func FindQueryCenteredProjectionDim(ds *dataset.Dataset, q linalg.Vector, cfg Pr
 // FindQueryCenteredProjectionDimContext is FindQueryCenteredProjectionDim
 // with cooperative cancellation (see FindQueryCenteredProjectionContext).
 func FindQueryCenteredProjectionDimContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch, target int) (*linalg.Subspace, error) {
-	return findProjectionDim(ctx, ds.View(), q, cfg.standalone(), target, &searchScratch{})
+	return findProjectionDim(ctx, ds.View(), q, cfg.standalone(), target, &searchScratch{}, nil)
+}
+
+// stageSupport is the candidate cluster size of a halving stage that
+// starts from lp dimensions: Support, floored at StageFactor·lp.
+//
+// Variance-ratio estimation from s points in lp dimensions overfits badly
+// when s is close to lp (the sample covariance of s ≈ lp points has
+// spurious near-null directions that beat the true cluster subspace).
+// Floor the stage candidates at StageFactor·lp; the user-facing support
+// still controls what is ultimately retrieved.
+func (cfg ProjectionSearch) stageSupport(lp int) int {
+	factor := cfg.StageFactor
+	if factor == 0 {
+		factor = 5
+	}
+	return max(cfg.Support, factor*lp)
 }
 
 // findProjectionDim is the view-level implementation behind the
 // FindQueryCenteredProjection family; sessions call it directly on their
-// narrowed views.
-func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cfg ProjectionSearch, target int, scr *searchScratch) (*linalg.Subspace, error) {
+// narrowed views. ranking, when non-nil, is the full-space scan
+// nearestPositions(v, q, FullSpace, cfg.stageSupport(v.Dim())) the caller
+// already ran: the first stage takes it as its members instead of
+// scanning again. Nil makes the first stage scan for itself.
+func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cfg ProjectionSearch, target int, scr *searchScratch, ranking []int) (*linalg.Subspace, error) {
 	m := v.Dim()
 	if m < 2 {
 		return nil, fmt.Errorf("%w: dimension %d", ErrDegenerateData, m)
@@ -486,20 +539,6 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 		if !cfg.Graded {
 			next = target
 		}
-		// Variance-ratio estimation from s points in lp dimensions
-		// overfits badly when s is close to lp (the sample covariance of
-		// s ≈ lp points has spurious near-null directions that beat the
-		// true cluster subspace). Floor the stage candidates at
-		// StageFactor·lp; the user-facing support still controls what is
-		// ultimately retrieved.
-		factor := cfg.StageFactor
-		if factor == 0 {
-			factor = 5
-		}
-		stageSupport := cfg.Support
-		if minStage := factor * lp; stageSupport < minStage {
-			stageSupport = minStage
-		}
 		var t0 time.Time
 		var stageSpan string
 		tracing := cfg.trace != nil && cfg.trace.tr.enabled()
@@ -511,9 +550,13 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 				cfg.gen.span = stageSpan
 			}
 		}
-		members, err := nearestPositions(ctx, cfg.coord, v, q, ep, stageSupport, scr, cfg.gen)
-		if err != nil {
-			return nil, err
+		members := ranking
+		if lp != m || members == nil {
+			var err error
+			members, err = nearestPositions(ctx, cfg.coord, v, q, ep, cfg.stageSupport(lp), scr, cfg.gen)
+			if err != nil {
+				return nil, err
+			}
 		}
 		sub, err := clusterSubspace(ctx, cfg, v, members, next, ep, scr)
 		if err != nil {
@@ -550,19 +593,12 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 // the nearest points *within* the projection are tight in any view, good
 // or bad.
 func DiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int) float64 {
-	score, _ := discriminationScoreContext(context.Background(), shard.New(shard.Config{Workers: 1}), ds.View(), q, proj, support, &searchScratch{}, nil)
-	return score
-}
-
-// discriminationScoreContext is DiscriminationScore with cancellation, the
-// coordinator running the full-space neighbor scan, and an optional
-// candidate generator pruning that scan.
-func discriminationScoreContext(ctx context.Context, coord *shard.Coordinator, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, support int, scr *searchScratch, gen *candGen) (float64, error) {
-	members, err := nearestPositions(ctx, coord, v, q, linalg.FullSpace(v.Dim()), support, scr, gen)
+	v := ds.View()
+	members, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), v, q, linalg.FullSpace(v.Dim()), support, &searchScratch{}, nil)
 	if err != nil {
-		return 0, err
+		return 0
 	}
-	return discriminationOf(v, members, proj), nil
+	return discriminationOf(v, members, proj, nil)
 }
 
 // HoldoutDiscriminationScore scores proj on the second band of the
@@ -579,31 +615,51 @@ func HoldoutDiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *lina
 		return 0
 	}
 	if len(all) <= support {
-		return discriminationOf(v, all, proj)
+		return discriminationOf(v, all, proj, nil)
 	}
-	return discriminationOf(v, all[support:], proj)
+	return discriminationOf(v, all[support:], proj, nil)
 }
 
 // discriminationOf computes the clamped 1 − mean(λᵢ/γᵢ) score for an
 // explicit member set, reading the view in place. Each direction is
 // normalized once and reused for both variance sweeps, exactly as
 // VarianceAlong would normalize it internally.
-func discriminationOf(v *dataset.View, members []int, proj *linalg.Subspace) float64 {
+//
+// coords, when non-nil, is v composed onto proj (a profile's Points). An
+// axis-aligned proj's normalized directions are its basis vectors, and
+// column i of coords is then each row's coordinate along direction i: the
+// gather Subspace.ProjectRowsInto runs, which equals the sweep's dot
+// product bit for bit on a finite row. The variances are read off the
+// columns instead of re-sweeping the n×d rows whenever v's rows are known
+// finite without reading them — gathered (axisScanRoute) from a Finite
+// store. Otherwise, as for every other direction, the rows are swept, so
+// a non-finite coordinate anywhere in a row still yields the sweep's NaN.
+func discriminationOf(v *dataset.View, members []int, proj *linalg.Subspace, coords *linalg.Matrix) float64 {
 	if len(members) == 0 {
 		return 0
+	}
+	if coords != nil {
+		if origin, _, ok := axisScanRoute(v, proj); !ok || !origin.Store().Finite() {
+			coords = nil
+		}
 	}
 	var ratioSum float64
 	dims := 0
 	for i := 0; i < proj.Dim(); i++ {
-		u := proj.BasisVector(i).Clone()
-		if u.Normalize() == 0 {
-			continue
+		var gamma, lambda float64
+		if coords != nil {
+			gamma, lambda = columnVariance(coords, i, nil), columnVariance(coords, i, members)
+		} else {
+			u := proj.BasisVector(i).Clone()
+			if u.Normalize() == 0 {
+				continue
+			}
+			gamma, lambda = varianceAlongUnit(v, nil, u), varianceAlongUnit(v, members, u)
 		}
-		gamma := varianceAlongUnit(v, nil, u)
 		if gamma <= 1e-18 {
 			continue
 		}
-		ratioSum += varianceAlongUnit(v, members, u) / gamma
+		ratioSum += lambda / gamma
 		dims++
 	}
 	if dims == 0 {

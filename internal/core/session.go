@@ -676,6 +676,12 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 		span     string // the view's span ID ("" when untraced)
 	}
 	var cands []candidate
+	// The view's one full-space neighbour ranking: the first halving
+	// stage's members, whose first Support entries are also the cluster
+	// the discrimination score measures (top-s is the prefix of top-k
+	// under the strict (dist, pos) order). In ModeAuto's contest both
+	// families share it. It is scanned inside the first view's span.
+	var ranking []int
 	for _, axis := range families {
 		psearch.AxisParallel = axis
 		family := "arbitrary"
@@ -696,7 +702,14 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 			psearch.trace = &stageTrace{tr: s.tr, major: s.iter, minor: minor, family: family, span: view + "/proj"}
 			s.setStageSpan(view + "/proj")
 		}
-		proj, err := findProjectionDim(ctx, dc, qc, psearch, 2, &s.scratch)
+		if ranking == nil {
+			var err error
+			ranking, err = nearestPositions(ctx, s.coord, dc, qc, linalg.FullSpace(dc.Dim()), psearch.stageSupport(dc.Dim()), &s.scratch, s.gen)
+			if err != nil {
+				return nil, Decision{}, err
+			}
+		}
+		proj, err := findProjectionDim(ctx, dc, qc, psearch, 2, &s.scratch, ranking)
 		if err != nil {
 			if len(families) > 1 && ctx.Err() == nil {
 				continue // the other family may still work
@@ -715,12 +728,12 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 			})
 			s.setStageSpan(view + "/kde")
 		}
-		profile, err := buildProfile(ctx, dc, qc, proj, psearch.Support, kde.Options{
+		profile, err := buildProfile(ctx, dc, qc, proj, ranking[:psearch.Support], kde.Options{
 			GridSize:       s.cfg.GridSize,
 			BandwidthScale: s.cfg.BandwidthScale,
 			Workers:        s.cfg.Workers,
 			Clock:          s.tr.clock(),
-		}, &s.scratch, s.gen, s.coord)
+		}, s.coord)
 		if err != nil {
 			return nil, Decision{}, err
 		}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 
 	"innsearch/internal/linalg"
 )
@@ -20,6 +21,16 @@ type Store struct {
 	n, dim int
 	labels []int // optional, one per row; nil if unlabeled
 	ids    []int // optional original row IDs; nil means identity (row r has ID r)
+
+	finiteOnce sync.Once
+	finite     bool
+}
+
+// Finite reports whether every stored coordinate is finite (no NaN or
+// ±Inf). The store is scanned once, on the first call.
+func (st *Store) Finite() bool {
+	st.finiteOnce.Do(func() { st.finite = linalg.Vector(st.data).IsFinite() })
+	return st.finite
 }
 
 // N returns the number of rows in the store.

@@ -246,3 +246,65 @@ func TestFindRegionAllocsIndependentOfTau(t *testing.T) {
 		}
 	}
 }
+
+// cellCountSizes are the grid sizes the per-cell count is checked at.
+var cellCountSizes = []int{2, 3, 4, 48, 96}
+
+// TestCountCellsMatchesCountSource checks that summing CellCounts over a
+// region's member rectangles counts exactly the points CountSource does,
+// at every separator height the Heuristic previews, at τ ≤ 0 and above
+// the peak, with points on the grid's max edges and points off the grid.
+func TestCountCellsMatchesCountSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, p := range cellCountSizes {
+		for trial := 0; trial < 3; trial++ {
+			m := randomPoints(rng, 300+rng.Intn(500))
+			g := randomGrid(t, m, p)
+			qx, qy := m.At(0, 0), m.At(0, 1)
+			// Extra rows: the max corner, each max edge, the min corner, and
+			// three points just off the grid.
+			extra := [][2]float64{
+				{g.MaxX, g.MaxY}, {g.MaxX, qy}, {qx, g.MaxY}, {g.MinX, g.MinY},
+				{g.MaxX + 1e-9, qy}, {qx, g.MinY - 1}, {g.MinX - 1, g.MaxY + 1},
+			}
+			src := linalg.NewMatrix(m.Rows+len(extra), 2)
+			copy(src.Data, m.Data)
+			for i, e := range extra {
+				src.Set(m.Rows+i, 0, e[0])
+				src.Set(m.Rows+i, 1, e[1])
+			}
+			pts := kde.MatrixXY{M: src}
+			counts := CellCounts(g, pts)
+			total := 0
+			for _, c := range counts {
+				total += int(c)
+			}
+			if want := m.Rows + 4; total != want {
+				t.Fatalf("P=%d: %d points binned, want the %d on the grid", p, total, want)
+			}
+			for _, tau := range testTaus(g, qx, qy) {
+				reg, err := FindRegion(g, qx, qy, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := reg.CountCells(counts), reg.CountSource(pts); got != want {
+					t.Fatalf("P=%d τ=%v: CountCells %d, CountSource %d", p, tau, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountCellsAllocatesNothing pins the per-region count at zero
+// allocations.
+func TestCountCellsAllocatesNothing(t *testing.T) {
+	g, m := twoClusterGrid(t, 16)
+	reg, err := FindRegion(g, 0, 0, 0.3*g.MaxDensity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := CellCounts(g, kde.MatrixXY{M: m})
+	if allocs := testing.AllocsPerRun(20, func() { reg.CountCells(counts) }); allocs != 0 {
+		t.Errorf("CountCells allocates %v times per call, want 0", allocs)
+	}
+}

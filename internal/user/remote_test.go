@@ -173,7 +173,9 @@ func TestRemotePreview(t *testing.T) {
 // view deadline many times: whatever the interleaving, the decision is
 // either delivered to the live view (SubmitDecision nil, session receives
 // it, no abort) or rejected with ErrViewExpired (session skipped and
-// aborted) — never both, never lost.
+// aborted) — never both, never lost. The deadline may also expire before
+// the test sees the view at all; then the session has already returned a
+// skip and the late decision must be rejected.
 func TestRemoteRacedDecisionExactlyOnce(t *testing.T) {
 	p, _ := makeProfile(t, 60, 20, true, 56)
 	for i := 0; i < 300; i++ {
@@ -183,18 +185,26 @@ func TestRemoteRacedDecisionExactlyOnce(t *testing.T) {
 		sessionOut := make(chan core.Decision, 1)
 		go func() { sessionOut <- r.SeparateCluster(p, nilPreview) }()
 
-		// Wait for the view, then race the submission against the
-		// deadline without any synchronization.
-		for {
+		// Wait for the view, or for the session to return because the view
+		// expired unseen. The bell is taken before the view is checked, so
+		// a state change between the two still wakes the wait.
+		var got core.Decision
+		returned := false
+		for !returned {
+			bell := r.Changed()
 			if _, ok := r.CurrentView(); ok {
 				break
 			}
 			select {
-			case <-r.Changed():
+			case <-bell:
+			case got = <-sessionOut:
+				returned = true
 			case <-time.After(time.Second):
 				t.Fatal("view never published")
 			}
 		}
+		// Race the submission against the deadline without any
+		// synchronization.
 		var wg sync.WaitGroup
 		wg.Add(1)
 		var submitErr error
@@ -202,9 +212,14 @@ func TestRemoteRacedDecisionExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			_, submitErr = r.SubmitDecision(1, core.Decision{Tau: 42})
 		}()
-		got := <-sessionOut
+		if !returned {
+			got = <-sessionOut
+		}
 		wg.Wait()
 
+		if returned && (!got.Skip || !errors.Is(submitErr, ErrViewExpired)) {
+			t.Fatalf("iter %d: view expired unseen, yet session saw %+v and the decision got %v", i, got, submitErr)
+		}
 		delivered := !got.Skip && got.Tau == 42
 		switch {
 		case submitErr == nil && !delivered:

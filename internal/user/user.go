@@ -229,14 +229,22 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	if refN < p.Points.Rows {
 		refN = p.Points.Rows
 	}
-	pts := kde.MatrixXY{M: p.Points}
+	// The points are binned into the grid's rectangles once per view, so
+	// each previewed height costs a pass over the cells, not over n.
+	var binned *kde.Grid
+	var cells []int32
 	var taus [len(heuristicMults)]float64
 	var counts [len(heuristicMults)]int
 	for i, mult := range heuristicMults {
 		taus[i] = mult * p.QueryDensity
-		if reg := preview(taus[i]); reg != nil {
-			counts[i] = reg.CountSource(pts)
+		reg := preview(taus[i])
+		if reg == nil || reg.Empty() {
+			continue
 		}
+		if reg.Grid != binned {
+			binned, cells = reg.Grid, grid.CellCounts(reg.Grid, kde.MatrixXY{M: p.Points})
+		}
+		counts[i] = reg.CountCells(cells)
 	}
 	// Longest run of stable transitions with admissible counts.
 	bestStart, bestEnd := -1, -1
