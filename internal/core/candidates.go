@@ -9,37 +9,36 @@ import (
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
 	"innsearch/internal/linalg"
-	"innsearch/internal/shard"
 	"innsearch/internal/telemetry"
 )
 
 // candGen owns a session's candidate-generation stage (Config.Index):
-// per-shard backends the session's coordinator builds over its current
-// view, and the accumulated work statistics. The generator is consulted
-// by nearestPositions for full-space scans (sub.Identity()), where the
-// backend's L2 ranking is the engine's ranking, and for axis-aligned
-// subspace scans routed through axisScanRoute (index.Backend.KNNAxis);
-// arbitrary-direction subspaces keep the exact kernels.
+// one index backend over the session's current view, and the accumulated
+// work statistics. The generator is consulted by nearestPositions for
+// full-space scans (sub.Identity()), where the backend's L2 ranking is
+// the engine's ranking, and for axis-aligned subspace scans routed
+// through axisScanRoute (index.Backend.KNNAxis); arbitrary-direction
+// subspaces keep the exact kernels. The backend covers the whole view at
+// every P: the shard coordinator scatters scans only.
 //
 // Sessions prune rows between major iterations, producing a new view;
-// the generator detects the view change and lazily re-ensures the index
-// through the coordinator (shard.Coordinator.EnsureIndex): derived in
-// O(n′) from the previous view's backends when they implement
-// index.Deriver and the views share a recorded row provenance
-// (dataset.RowsBetween), rebuilt from scratch otherwise. Each ensure that
-// built fresh emits one index_build trace event, each served by
-// derivation one index_derive event, and each query one candidate_gen
-// event. With a shared cache (Config.IndexCache) a build whose (view,
-// shard, backend, options) key was already built by another session is
-// reused instead — no build runs, no index_build event fires, and the
-// reuse is counted in IndexStats.CacheHits. At P=1 the coordinator runs
-// one backend over the whole view.
+// the generator detects the view change and lazily re-ensures the
+// backend: derived in O(n′) from the previous view's backend when it
+// implements index.Deriver and the new view is an ascending row
+// narrowing of the old one (dataset.RowsBetween), built from scratch
+// otherwise. Each ensure that built fresh emits one index_build trace
+// event, each served by derivation one index_derive event, and each
+// query one candidate_gen event. With a shared cache (Config.IndexCache)
+// a backend whose (view, parent, backend, options) key another session
+// already built or derived is reused instead — nothing runs, no event
+// fires, and the reuse is counted in IndexStats.CacheHits.
 type candGen struct {
 	cfg   index.Config
-	coord *shard.Coordinator
-	// built is the view the coordinator's backends were last ensured
-	// over; queries on it skip the ensure (and its clock read).
-	built *dataset.View
+	cache *index.Cache
+	// view is the view backend was last ensured over; queries on it skip
+	// the ensure (and its clock read).
+	view    *dataset.View
+	backend index.Backend
 
 	// tr/major/minor are the owning session's tracer context, updated as
 	// the session advances (nil-safe; standalone use leaves them zero).
@@ -57,11 +56,11 @@ type candGen struct {
 	stats   index.Stats
 }
 
-// newCandGen validates the configured backend over the session's
-// coordinator, or returns (nil, nil) when no index was requested — the
-// zero-overhead default path. Unknown backend names fail here, at session
-// construction, not mid-iteration.
-func newCandGen(cfg index.Config, workers int, coord *shard.Coordinator) (*candGen, error) {
+// newCandGen validates the configured backend, or returns (nil, nil) when
+// no index was requested — the zero-overhead default path. Unknown
+// backend names fail here, at session construction, not mid-iteration.
+// cache may be nil.
+func newCandGen(cfg index.Config, workers int, cache *index.Cache) (*candGen, error) {
 	if !cfg.Enabled() {
 		return nil, nil
 	}
@@ -71,27 +70,27 @@ func newCandGen(cfg index.Config, workers int, coord *shard.Coordinator) (*candG
 	if cfg.Options.Workers == 0 {
 		cfg.Options.Workers = workers
 	}
-	return &candGen{cfg: cfg, coord: coord}, nil
+	return &candGen{cfg: cfg, cache: cache}, nil
 }
 
-// candidates returns the backends' merged k-candidate set for the ambient
-// query q against view v, ensuring the index first if needed.
+// candidates returns the backend's k-candidate set for the ambient query
+// q against view v, ensuring the index first if needed.
 func (g *candGen) candidates(ctx context.Context, v *dataset.View, q linalg.Vector, k int) ([]index.Candidate, error) {
 	return g.query(ctx, v, func() ([]index.Candidate, index.Stats, error) {
-		return g.coord.Candidates(ctx, v, q, k)
+		return g.backend.KNN(ctx, q, k)
 	})
 }
 
-// candidatesAxis is the axis-subspace route: the backends' KNNAxis serves
+// candidatesAxis is the axis-subspace route: the backend's KNNAxis serves
 // the scan over the masked original attributes.
 func (g *candGen) candidatesAxis(ctx context.Context, v *dataset.View, qaxis []float64, axes []int, k int) ([]index.Candidate, error) {
 	return g.query(ctx, v, func() ([]index.Candidate, index.Stats, error) {
-		return g.coord.CandidatesAxis(ctx, v, qaxis, axes, k)
+		return g.backend.KNNAxis(ctx, qaxis, axes, k)
 	})
 }
 
-// query ensures the index over v, runs one coordinator query, and counts
-// it with its candidate_gen event.
+// query ensures the index over v, runs one backend query, and counts it
+// with its candidate_gen event.
 func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]index.Candidate, index.Stats, error)) ([]index.Candidate, error) {
 	if err := g.ensure(ctx, v); err != nil {
 		return nil, err
@@ -116,7 +115,6 @@ func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]inde
 			Backend:    g.cfg.Name,
 			N:          v.N(),
 			Dim:        v.Dim(),
-			Shards:     g.coord.Shards(),
 			Picked:     len(cands),
 			Scanned:    st.Scanned,
 			Refined:    st.Refined,
@@ -128,52 +126,88 @@ func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]inde
 	return cands, nil
 }
 
-// ensure runs the coordinator's EnsureIndex when the view has advanced and
-// classifies its per-shard records into exactly one of: an index_build
-// event (some shard built fresh), an index_derive event (shards derived,
-// none built), or a counted cache hit (everything reused).
+// ensure installs the backend for v when the view has advanced — derived
+// from the current backend when derivable allows it, built fresh
+// otherwise, through the shared cache when one is configured — and
+// classifies the outcome into exactly one of: an index_build event, an
+// index_derive event, or a counted cache hit.
 func (g *candGen) ensure(ctx context.Context, v *dataset.View) error {
-	if g.built == v {
+	if g.view == v {
 		return nil
 	}
 	var t0 time.Time
 	if g.tr.enabled() {
 		t0 = g.tr.now()
 	}
-	builds, err := g.coord.EnsureIndex(ctx, v, g.cfg)
+	key := index.CacheKey{Source: v, Name: g.cfg.Name, Options: g.cfg.Options}
+	build := func(ctx context.Context) (index.Backend, error) {
+		b, err := index.New(g.cfg.Name)
+		if err != nil {
+			return nil, err
+		}
+		if err := b.Build(ctx, v, g.cfg.Options); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	parentN := 0
+	if der, rows, ok := g.derivable(v); ok {
+		parent := g.backend
+		key.Parent, parentN = g.view, g.view.N()
+		build = func(ctx context.Context) (index.Backend, error) {
+			return der.Derive(ctx, parent, v, rows)
+		}
+	}
+	var b index.Backend
+	var hit bool
+	var err error
+	if g.cache != nil {
+		b, hit, err = g.cache.Get(ctx, key, build)
+	} else {
+		b, err = build(ctx)
+	}
 	if err != nil {
 		return fmt.Errorf("core: index build (%s): %w", g.cfg.Name, err)
 	}
-	g.built = v
-	anyBuilt, anyDerived, parentN := false, false, 0
-	for _, b := range builds {
-		if b.Hit {
-			continue
-		}
-		if b.Derived {
-			anyDerived = true
-			parentN += b.ParentN
-		} else {
-			anyBuilt = true
-		}
-	}
+	g.view, g.backend = v, b
 	switch {
-	case anyBuilt:
-		g.builds++
-		g.emitEnsure(t0, v, false, len(builds), 0)
-	case anyDerived:
-		g.derives++
-		g.emitEnsure(t0, v, true, len(builds), parentN)
-	default:
+	case hit:
 		g.hits++ // nothing was built or derived; no event
+	case key.Parent != nil:
+		g.derives++
+		g.emitEnsure(t0, v, true, parentN)
+	default:
+		g.builds++
+		g.emitEnsure(t0, v, false, 0)
 	}
 	return nil
+}
+
+// derivable reports whether v's backend can be derived from the current
+// one: the backend implements index.Deriver and v is a non-empty
+// ascending row narrowing of the indexed view. rows maps each row of v to
+// its position in that view.
+func (g *candGen) derivable(v *dataset.View) (der index.Deriver, rows []int, ok bool) {
+	der, ok = g.backend.(index.Deriver)
+	if !ok {
+		return nil, nil, false
+	}
+	rows, ok = dataset.RowsBetween(g.view, v)
+	if !ok || len(rows) == 0 {
+		return nil, nil, false
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i] <= rows[i-1] {
+			return nil, nil, false
+		}
+	}
+	return der, rows, true
 }
 
 // emitEnsure emits the index_build or index_derive event of one ensure;
 // ParentN (derivations only) records the size of the index the
 // derivation avoided re-scanning.
-func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, shards, parentN int) {
+func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, parentN int) {
 	if !g.tr.enabled() {
 		return
 	}
@@ -191,7 +225,6 @@ func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, shards
 		ParentN:    parentN,
 		N:          v.N(),
 		Dim:        v.Dim(),
-		Shards:     shards,
 		DurationMS: g.tr.since(t0),
 		Span:       spanPath(g.span, spanName+strconv.Itoa(ordinal)),
 		Parent:     g.span,

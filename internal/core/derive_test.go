@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"innsearch/internal/index"
+	"innsearch/internal/linalg"
 	"innsearch/internal/shard"
 	"innsearch/internal/telemetry"
 )
@@ -18,8 +19,11 @@ import (
 // down a random narrowing chain, a generator that derives each child
 // index from its parent (index.Deriver) must return exactly the
 // candidate set a generator built fresh on the narrowed view returns —
-// at every chain depth, for every Deriver backend, across worker counts
-// and shard widths.
+// at every chain depth, for every Deriver backend, across worker counts.
+// The generator owns one backend over the whole view whatever the shard
+// width, so across shard widths the support nearestPositions re-ranks
+// from the derived candidates must also equal the coordinator's exact
+// P-shard scan.
 func TestDerivedIndexMatchesFreshCandidates(t *testing.T) {
 	ds, q := benchDataset(t, 800, 12)
 	const k, depth = 20, 5
@@ -33,12 +37,13 @@ func TestDerivedIndexMatchesFreshCandidates(t *testing.T) {
 				cfg, workers, shards := cfg, workers, shards
 				t.Run(fmt.Sprintf("%s/w%d/p%d", cfg.Name, workers, shards), func(t *testing.T) {
 					mk := func() *candGen {
-						g, err := newCandGen(cfg, workers, shard.New(shard.Config{Shards: shards, Workers: workers}))
+						g, err := newCandGen(cfg, workers, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						return g
 					}
+					coord := shard.New(shard.Config{Shards: shards, Workers: workers})
 					gen := mk()
 					rng := rand.New(rand.NewSource(9))
 					v := ds.View()
@@ -54,6 +59,23 @@ func TestDerivedIndexMatchesFreshCandidates(t *testing.T) {
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("depth %d (n=%d): derived candidates differ from fresh\n got %v\nwant %v",
 								step, v.N(), got, want)
+						}
+						full := linalg.FullSpace(v.Dim())
+						calls := gen.calls
+						viaIndex, err := nearestPositions(ctx, coord, v, q, full, k, &searchScratch{}, gen)
+						if err != nil {
+							t.Fatalf("depth %d: indexed scan: %v", step, err)
+						}
+						if gen.calls != calls+1 {
+							t.Fatalf("depth %d: indexed scan made %d backend queries, want 1", step, gen.calls-calls)
+						}
+						exact, err := nearestPositions(ctx, coord, v, q, full, k, &searchScratch{}, nil)
+						if err != nil {
+							t.Fatalf("depth %d: exact scan: %v", step, err)
+						}
+						if !reflect.DeepEqual(viaIndex, exact) {
+							t.Fatalf("depth %d (n=%d, P=%d): support from derived candidates differs from the exact scan\n got %v\nwant %v",
+								step, v.N(), shards, viaIndex, exact)
 						}
 						var keep []int
 						for i := 0; i < v.N(); i++ {

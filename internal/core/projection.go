@@ -69,8 +69,8 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // and only the candidates are re-ranked with the engine's own metric and
 // strict total order. Every backend is exact — its candidate set
 // contains the true top-s — so the re-ranked prefix is byte-identical to
-// the full scan. The backends themselves are per-shard, built and
-// queried through the coordinator (see candGen.candidates).
+// the full scan. The backend covers the whole view at every P; the
+// coordinator is not involved (see candGen).
 //
 // Beyond the ambient identity scan, the generator is also consulted when
 // the whole scan resolves to an axis-aligned mask over an ancestor

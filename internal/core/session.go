@@ -285,9 +285,8 @@ func NewSession(ds *dataset.Dataset, query []float64, user User, cfg Config) (*S
 		Shards:  cfg.Shards,
 		Workers: cfg.Workers,
 		Tracer:  cfg.Tracer,
-		Cache:   cfg.IndexCache,
 	})
-	gen, err := newCandGen(cfg.Index, cfg.Workers, coord)
+	gen, err := newCandGen(cfg.Index, cfg.Workers, cfg.IndexCache)
 	if err != nil {
 		return nil, err
 	}

@@ -121,43 +121,48 @@ func TestSessionShardedCanceled(t *testing.T) {
 	}
 }
 
-// Sharded candidate generation: a session with both Shards and an Index
-// backend routes full-space scans through per-shard backends; the result
-// must match the sharded session without an index bit-for-bit (the exact
-// backend is the same ranking), and a second session sharing the cache
-// must reuse every shard's backend.
+// Sharded candidate generation: the index is one backend over the whole
+// view at every P, so a Shards:4 session with an index matches the
+// Shards:4 session without one bit-for-bit, pays one backend per view
+// generation (one cache miss per build or derive, not one per shard), and
+// shares its backends with a Shards:1 session over the same dataset.
 func TestSessionShardedWithIndex(t *testing.T) {
 	plain, _ := runSharded(t, 4, 2, Config{})
 	cache := index.NewCache(0)
-	idxCfg := Config{Index: index.Config{Name: "exact"}, IndexCache: cache}
-	indexed, _ := runSharded(t, 4, 2, idxCfg)
+	indexed, _ := runSharded(t, 4, 2, Config{Index: index.Config{Name: "vafile"}, IndexCache: cache})
 	if !reflect.DeepEqual(plain, indexed) {
-		t.Error("Shards:4 with exact index differs from Shards:4 without")
+		t.Error("Shards:4 with a vafile index differs from Shards:4 without")
 	}
 
 	ds, q, u := parallelTestData(t, 99)
-	first, err := NewSession(ds, q, u, Config{Support: 40, Workers: 2, Shards: 4, Index: index.Config{Name: "exact"}, IndexCache: cache})
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	if _, err := first.RunContext(context.Background()); err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	st := first.IndexStats()
-	if st.Builds == 0 && st.CacheHits == 0 {
-		t.Fatal("indexed session recorded no builds and no cache reuse")
+	run := func(shards int, cache *index.Cache) IndexStats {
+		t.Helper()
+		s, err := NewSession(ds, q, u, Config{Support: 40, Workers: 2, Shards: shards,
+			Index: index.Config{Name: "vafile"}, IndexCache: cache})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		if _, err := s.RunContext(context.Background()); err != nil {
+			t.Fatalf("run (shards=%d): %v", shards, err)
+		}
+		return s.IndexStats()
 	}
 
-	// A second session over the same dataset shares the root view pointer,
-	// so its first scatter must be served from the cache.
-	second, err := NewSession(ds, q, u, Config{Support: 40, Workers: 2, Shards: 4, Index: index.Config{Name: "exact"}, IndexCache: cache})
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+	fresh := index.NewCache(0)
+	st := run(4, fresh)
+	if st.Builds == 0 {
+		t.Fatal("indexed Shards:4 session recorded no builds")
 	}
-	if _, err := second.RunContext(context.Background()); err != nil {
-		t.Fatalf("second run: %v", err)
+	if hits, misses := fresh.Stats(); hits != 0 || int(misses) != st.Builds+st.Derives {
+		t.Errorf("Shards:4 session: cache %d hits / %d misses, want 0 / %d (one backend per view generation)",
+			hits, misses, st.Builds+st.Derives)
 	}
-	if hits := second.IndexStats().CacheHits; hits == 0 {
-		t.Error("second session over the same dataset recorded no cache reuse")
+
+	// A Shards:4 session after a Shards:1 session over the same dataset
+	// shares the root view pointer, so its first ensure is a cache hit.
+	shared := index.NewCache(0)
+	run(1, shared)
+	if hits := run(4, shared).CacheHits; hits == 0 {
+		t.Error("Shards:4 session recorded no cache reuse of the Shards:1 session's backend")
 	}
 }

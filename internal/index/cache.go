@@ -14,7 +14,8 @@ import (
 //
 // Keys carry the source's identity (a pointer, typically *dataset.View —
 // datasets hand out one stable view pointer per store generation), the
-// shard window, the backend name, and the full Options value. A store
+// parent a derived backend came from, the backend name, and the full
+// Options value. A store
 // generation change (normalization swaps in a fresh store and view) makes
 // every new lookup miss by key identity, and the stale generation's
 // entries age out of the LRU — or are dropped eagerly with Invalidate.
@@ -34,20 +35,18 @@ type Cache struct {
 }
 
 // CacheKey identifies one built backend: the identity of the source it
-// was built over (comparable, typically a *dataset.View), the shard
-// window it covers (0/1 for unsharded builds), and the backend
+// was built over (comparable, typically a *dataset.View) and the backend
 // configuration.
 type CacheKey struct {
 	Source  any
-	Shard   int
-	Shards  int
 	Name    string
 	Options Options
 	// Parent is the identity of the parent source a derived backend was
-	// narrowed from (nil for fresh builds). Derived shard sets inherit
-	// their parent's shard boundaries, so shard i of a derived set need not
-	// cover the rows shard i of a fresh build over the same view covers;
-	// the two must never share an entry.
+	// narrowed from (nil for fresh builds). A derived backend answers
+	// queries exactly like a fresh build over the same source, but not
+	// with the same work: a derived vafile keeps its parent's
+	// quantization, so its Stats differ from a fresh build's. The two
+	// must never share an entry.
 	Parent any
 }
 
@@ -59,7 +58,7 @@ type cacheEntry struct {
 }
 
 // DefaultCacheCap bounds a zero-configured cache: generous for a server
-// holding a handful of datasets with a few shard/option variants each,
+// holding a handful of datasets with a few option variants each,
 // small enough that per-session narrowed views cannot pin the heap.
 const DefaultCacheCap = 64
 

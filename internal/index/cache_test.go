@@ -26,7 +26,7 @@ func (f *fakeBackend) KNNAxis(context.Context, []float64, []int, int) ([]Candida
 func TestCacheSharesBuilds(t *testing.T) {
 	c := NewCache(0)
 	src := new(int)
-	key := CacheKey{Source: src, Shards: 1, Name: "fake"}
+	key := CacheKey{Source: src, Name: "fake"}
 	builds := 0
 	build := func(context.Context) (Backend, error) {
 		builds++
@@ -56,11 +56,12 @@ func TestCacheSharesBuilds(t *testing.T) {
 	if _, hit, _ := c.Get(ctx, key2, build); hit {
 		t.Fatal("different options hit the same entry")
 	}
-	// A different shard window is a different key.
+	// A backend derived from a parent is a different key from a fresh
+	// build over the same source.
 	key3 := key
-	key3.Shard, key3.Shards = 1, 4
+	key3.Parent = new(int)
 	if _, hit, _ := c.Get(ctx, key3, build); hit {
-		t.Fatal("different shard window hit the same entry")
+		t.Fatal("derived backend hit the fresh build's entry")
 	}
 }
 
@@ -68,7 +69,7 @@ func TestCacheSharesBuilds(t *testing.T) {
 // single build.
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache(0)
-	key := CacheKey{Source: new(int), Shards: 1, Name: "fake"}
+	key := CacheKey{Source: new(int), Name: "fake"}
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	build := func(context.Context) (Backend, error) {
@@ -97,7 +98,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // failed build leaves no entry and the next Get rebuilds.
 func TestCacheFailedBuildNotCached(t *testing.T) {
 	c := NewCache(0)
-	key := CacheKey{Source: new(int), Shards: 1, Name: "fake"}
+	key := CacheKey{Source: new(int), Name: "fake"}
 	boom := errors.New("boom")
 	if _, _, err := c.Get(context.Background(), key, func(context.Context) (Backend, error) {
 		return nil, boom
@@ -121,9 +122,9 @@ func TestCacheEviction(t *testing.T) {
 	build := func(context.Context) (Backend, error) { return &fakeBackend{}, nil }
 	ctx := context.Background()
 	srcA, srcB, srcC := new(int), new(int), new(int)
-	keyA := CacheKey{Source: srcA, Shards: 1, Name: "fake"}
-	keyB := CacheKey{Source: srcB, Shards: 1, Name: "fake"}
-	keyC := CacheKey{Source: srcC, Shards: 1, Name: "fake"}
+	keyA := CacheKey{Source: srcA, Name: "fake"}
+	keyB := CacheKey{Source: srcB, Name: "fake"}
+	keyC := CacheKey{Source: srcC, Name: "fake"}
 	c.Get(ctx, keyA, build)
 	c.Get(ctx, keyB, build)
 	c.Get(ctx, keyA, build) // refresh A

@@ -26,6 +26,11 @@ var ErrBadInput = errors.New("kde: bad input")
 // MinGridSize is the smallest usable density grid resolution.
 const MinGridSize = 4
 
+// MaxGridSize is the largest accepted density grid resolution. A p×p
+// lattice holds p² float64s, so the bound caps one grid at 8 MiB; the
+// largest grid any caller uses is 80.
+const MaxGridSize = 1024
+
 // SilvermanBandwidth returns 1.06·σ·n^(−1/5) for the sample xs, the
 // normal-reference rule the paper cites from Silverman (1986). A zero
 // standard deviation (constant sample) yields a small positive fallback
@@ -152,7 +157,8 @@ func (s MatrixXY) XY(i int) (float64, float64) { return s.M.At(i, 0), s.M.At(i, 
 
 // Options tunes Estimate2D.
 type Options struct {
-	// GridSize is p, the number of grid points per axis (≥ MinGridSize).
+	// GridSize is p, the number of grid points per axis, in
+	// [MinGridSize, MaxGridSize]; 0 selects 48.
 	GridSize int
 	// Exact forces the O(N·p²) reference estimator instead of the
 	// linear-binned fast path.
@@ -181,6 +187,9 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.GridSize < MinGridSize {
 		return o, fmt.Errorf("%w: grid size %d < %d", ErrBadInput, o.GridSize, MinGridSize)
+	}
+	if o.GridSize > MaxGridSize {
+		return o, fmt.Errorf("%w: grid size %d > %d", ErrBadInput, o.GridSize, MaxGridSize)
 	}
 	if o.MarginBandwidths == 0 {
 		o.MarginBandwidths = 3

@@ -60,6 +60,7 @@ func TestEstimate2DErrors(t *testing.T) {
 		{"wrong cols", linalg.NewMatrix(5, 3), Options{}},
 		{"no points", linalg.NewMatrix(0, 2), Options{}},
 		{"tiny grid", pts, Options{GridSize: 2}},
+		{"huge grid", pts, Options{GridSize: MaxGridSize + 1}},
 		{"negative margin", pts, Options{MarginBandwidths: -1}},
 		{"negative scale", pts, Options{BandwidthScale: -2}},
 	}

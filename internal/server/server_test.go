@@ -561,3 +561,25 @@ func TestOversizedBodyRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedGridRejected posts a grid_size far past kde.MaxGridSize to
+// both routes that start sessions and expects 400 with the wire error
+// shape, before any density lattice is allocated.
+func TestOversizedGridRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	c := newClient(t, ts)
+	row := 3
+	cfg := wire.SessionConfig{GridSize: 1 << 20}
+	for path, body := range map[string]any{
+		"/v1/sessions": wire.CreateSessionRequest{Dataset: "test", QueryRow: &row, Config: cfg},
+		"/v1/search":   wire.SearchRequest{Dataset: "test", QueryRows: []int{row}, User: "heuristic", Config: cfg},
+	} {
+		var errResp wire.Error
+		if code := c.do("POST", path, body, &errResp); code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", path, code)
+		}
+		if !strings.Contains(errResp.Error, "grid_size") {
+			t.Errorf("POST %s: error body %q, want the grid_size message", path, errResp.Error)
+		}
+	}
+}

@@ -324,13 +324,21 @@ type SessionConfig struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// ToCore decodes the config for the session engine.
+// ToCore decodes the config for the session engine. It rejects values
+// the engine would only fail on later (or, for an oversized grid_size,
+// allocate without bound for), so create and search answer 400 at once.
 func (c SessionConfig) ToCore() (core.Config, error) {
 	if c.Workers < 0 {
 		return core.Config{}, fmt.Errorf("wire: negative workers %d", c.Workers)
 	}
 	if c.Shards < 0 {
 		return core.Config{}, fmt.Errorf("wire: negative shards %d", c.Shards)
+	}
+	if c.GridSize != 0 && (c.GridSize < kde.MinGridSize || c.GridSize > kde.MaxGridSize) {
+		return core.Config{}, fmt.Errorf("wire: grid_size %d outside [%d, %d]", c.GridSize, kde.MinGridSize, kde.MaxGridSize)
+	}
+	if c.BandwidthScale < 0 {
+		return core.Config{}, fmt.Errorf("wire: negative bandwidth_scale %v", c.BandwidthScale)
 	}
 	cfg := core.Config{
 		Support:            c.Support,

@@ -199,6 +199,23 @@ func TestSessionConfigToCore(t *testing.T) {
 			t.Errorf("index %q: err = %v, want one listing exact, vafile", name, err)
 		}
 	}
+	// grid_size is 0 (engine default) or within the estimator's bounds.
+	for _, grid := range []int{0, kde.MinGridSize, 48, kde.MaxGridSize} {
+		if cfg, err := (SessionConfig{GridSize: grid}).ToCore(); err != nil || cfg.GridSize != grid {
+			t.Errorf("grid_size %d → %d, %v", grid, cfg.GridSize, err)
+		}
+	}
+	for _, grid := range []int{-1, kde.MinGridSize - 1, kde.MaxGridSize + 1, 100000} {
+		if _, err := (SessionConfig{GridSize: grid}).ToCore(); err == nil || !strings.Contains(err.Error(), "grid_size") {
+			t.Errorf("grid_size %d: err = %v, want a grid_size error", grid, err)
+		}
+	}
+	if _, err := (SessionConfig{BandwidthScale: -0.5}).ToCore(); err == nil {
+		t.Error("negative bandwidth_scale accepted")
+	}
+	if cfg, err := (SessionConfig{BandwidthScale: 0.5}).ToCore(); err != nil || cfg.BandwidthScale != 0.5 {
+		t.Errorf("bandwidth_scale 0.5 → %v, %v", cfg.BandwidthScale, err)
+	}
 }
 
 // TestProfileRoundTrip pins the inverse decode: a profile encoded for the

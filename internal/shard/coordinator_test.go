@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"innsearch/internal/dataset"
-	"innsearch/internal/index"
 	"innsearch/internal/kde"
 	"innsearch/internal/linalg"
 	"innsearch/internal/telemetry"
@@ -340,37 +339,42 @@ func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// blockingShard wedges its first stats partial until its context is
-// canceled — the fake remote shard of the cancellation acceptance test.
-type blockingShard struct {
-	*Local
+// blockingXY wedges the first coordinate read of row block until unblock
+// is closed — the stuck shard of the cancellation acceptance test.
+type blockingXY struct {
+	kde.MatrixXY
+	block   int
+	once    sync.Once
 	started chan struct{}
+	unblock <-chan struct{}
 }
 
-func (b *blockingShard) ColumnSums(ctx context.Context) (dataset.MomentSums, error) {
-	close(b.started)
-	<-ctx.Done()
-	return dataset.MomentSums{}, ctx.Err()
+func (b *blockingXY) XY(i int) (float64, float64) {
+	if i == b.block {
+		b.once.Do(func() {
+			close(b.started)
+			<-b.unblock
+		})
+	}
+	return b.MatrixXY.XY(i)
 }
 
 // TestCoordinatorCancellationMidScatter checks that canceling the session
 // context while a scatter is in flight aborts the stage with the
-// context's error instead of hanging on the barrier.
+// context's error instead of hanging on the barrier: the second shard of
+// the density stage's first scatter blocks until the context is canceled.
 func TestCoordinatorCancellationMidScatter(t *testing.T) {
 	v := testDataset(t, 23, 200, 3).View()
 	c := New(Config{Shards: 2, Workers: 2})
-	blocked := &blockingShard{Local: NewLocal(1, 100, 200, v, nil), started: make(chan struct{})}
-	c.mkShards = func(view *dataset.View, _ kde.XYSource, n int) []Shard {
-		return []Shard{NewLocal(0, 0, 100, view, nil), blocked}
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
+	src := &blockingXY{MatrixXY: testXY(t, 23, 200), block: 100, started: make(chan struct{}), unblock: ctx.Done()}
+
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Stats(ctx, v)
+		_, err := c.Estimate2D(ctx, src, kde.Options{GridSize: 16})
 		errc <- err
 	}()
-	<-blocked.started
+	<-src.started
 	cancel()
 	select {
 	case err := <-errc:
@@ -463,12 +467,6 @@ func TestCoordinatorTelemetry(t *testing.T) {
 	if _, err := c1.Estimate2D(ctx, testXY(t, 5, 250), kde.Options{GridSize: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.EnsureIndex(ctx, v, index.Config{Name: "exact"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c1.Candidates(ctx, v, v.Point(0), 5); err != nil {
-		t.Fatal(err)
-	}
 	if len(tr1.events) != 0 {
 		t.Fatalf("P=1 coordinator emitted %d scatter events, first %+v", len(tr1.events), tr1.events[0])
 	}
@@ -496,78 +494,5 @@ func TestCoordinatorTelemetryUnparented(t *testing.T) {
 	}
 	if ends[0].Span != "stats/sums#1" || ends[1].Span != "stats/moments#2" || ends[0].Parent != "" {
 		t.Fatalf("unparented span IDs = %q (parent %q), %q", ends[0].Span, ends[0].Parent, ends[1].Span)
-	}
-}
-
-// TestCoordinatorIndexStage checks candidate generation: per-shard exact
-// backends must reproduce the unsharded exact top-k member set, builds
-// are reused while the view is unchanged, and a shared cache turns a
-// second coordinator's builds into hits.
-func TestCoordinatorIndexStage(t *testing.T) {
-	ctx := context.Background()
-	v := testDataset(t, 31, 300, 4).View()
-	cfg := index.Config{Name: "exact"}
-	q := append(linalg.Vector(nil), v.Point(42)...)
-	const k = 9
-
-	ref, err := index.New("exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Build(ctx, windowSource{v: v, lo: 0, hi: v.N()}, cfg.Options); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.KNN(ctx, q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := index.NewCache(0)
-	c := New(Config{Shards: 4, Workers: 2, Cache: cache})
-	if _, _, err := c.Candidates(ctx, v, q, k); err == nil {
-		t.Fatal("Candidates before EnsureIndex succeeded")
-	}
-	builds, err := c.EnsureIndex(ctx, v, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(builds) != 4 {
-		t.Fatalf("%d builds, want 4", len(builds))
-	}
-	for _, b := range builds {
-		if b.Hit {
-			t.Fatalf("shard %d build was a cache hit on a cold cache", b.Shard)
-		}
-	}
-	got, _, err := c.Candidates(ctx, v, q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded candidates = %v, want %v", got, want)
-	}
-
-	// Unchanged view: no rebuild.
-	if again, err := c.EnsureIndex(ctx, v, cfg); err != nil || again != nil {
-		t.Fatalf("re-ensure: builds=%v err=%v, want nil/nil", again, err)
-	}
-
-	// A second coordinator sharing the cache hits every shard.
-	c2 := New(Config{Shards: 4, Workers: 2, Cache: cache})
-	builds2, err := c2.EnsureIndex(ctx, v, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range builds2 {
-		if !b.Hit {
-			t.Fatalf("shard %d rebuilt despite a warm shared cache", b.Shard)
-		}
-	}
-	got2, _, err := c2.Candidates(ctx, v, q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("cache-served candidates differ")
 	}
 }

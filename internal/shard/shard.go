@@ -1,17 +1,15 @@
 // Package shard is the scatter-gather layer of the engine: a Coordinator
-// that runs every per-row stage kernel — moment statistics, top-s nearest
-// positions, density-grid contributions, candidate generation — as
-// partial(shard) → mergeInOrder(partials) over P row-disjoint shards of
-// the session's current working set. Every session runs through a
-// coordinator; the unsharded engine is the degenerate case P=1, one
-// full-range shard whose merge is the identity.
+// that runs every per-row scan — moment statistics, top-s nearest
+// positions, density-grid contributions — as partial(shard) →
+// mergeInOrder(partials) over P row-disjoint shards of the session's
+// current working set. Every session runs through a coordinator; the
+// unsharded engine is the degenerate case P=1, one full-range shard whose
+// merge is the identity.
 //
 // The merge layer is the point of the package (the FLANN distributed-
-// matching shape: any local algorithm plus a merge): Shard is an
-// interface whose methods take and return plain values, so a future
-// remote shard can compute its partials in another process and ship them
-// over a wire. This package ships the in-process implementation, Local,
-// which reads a row window of a dataset view in place.
+// matching shape: any local algorithm plus a merge). A shard is a Local:
+// a row window of a dataset view or an XY source, read in place, whose
+// partials are plain values merged in shard order.
 //
 // Determinism contract (shared with the kernels in internal/dataset and
 // internal/kde):
@@ -35,7 +33,6 @@ import (
 	"fmt"
 
 	"innsearch/internal/dataset"
-	"innsearch/internal/index"
 	"innsearch/internal/kde"
 	"innsearch/internal/linalg"
 	"innsearch/internal/parallel"
@@ -109,60 +106,19 @@ func SelectNearest(cands []Cand, k int) {
 	}
 }
 
-// Shard executes stage partials over one row window of the session's
-// working set. Methods take and return plain values (vectors, moment
-// structs, lattices, candidate lists) so that an implementation backed by
-// a remote process only needs a serializable view of its own rows; Local
-// is the in-process implementation. Every method honors context
-// cancellation.
-type Shard interface {
-	// ID is the shard's index in the partition (0 … P−1); merges fold
-	// results in ascending ID order.
-	ID() int
-	// Rows returns the shard's row window [lo, hi) in the stage input.
-	Rows() (lo, hi int)
-
-	// ColumnSums is the first-moment stats partial (dataset.ColumnSums).
-	ColumnSums(ctx context.Context) (dataset.MomentSums, error)
-	// CenteredMoment is the second-moment stats partial about the global
-	// mean (dataset.CenteredMoment).
-	CenteredMoment(ctx context.Context, mean linalg.Vector) (*linalg.Matrix, error)
-
-	// Nearest returns the shard's k nearest rows to the projected query
-	// qp under sub's projected distance, ascending (dist, pos).
-	Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vector, k int) ([]Cand, error)
-
-	// DensityExtent, DensitySpread and DensityLattice are the three
-	// density partials (kde.CollectExtent / CollectSpread, and
-	// kde.BinnedPartial or kde.ExactPartial per the grid's estimator).
-	DensityExtent(ctx context.Context) (kde.Extent, error)
-	DensitySpread(ctx context.Context, meanX, meanY float64) (kde.Spread, error)
-	DensityLattice(ctx context.Context, g *kde.Grid) ([]float64, error)
-
-	// BuildIndex (re)builds the shard's candidate-generation backend over
-	// its rows; Candidates queries it for up to k candidates with
-	// positions global to the stage input. CandidatesAxis is the
-	// axis-subspace variant (index.Backend.KNNAxis).
-	BuildIndex(ctx context.Context, cfg index.Config) error
-	Candidates(ctx context.Context, q linalg.Vector, k int) ([]index.Candidate, index.Stats, error)
-	CandidatesAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error)
-}
-
 // cancelStride is how many rows Local's sweep kernels process between
 // context checks, so a canceled session abandons a scatter mid-shard.
 const cancelStride = 1024
 
-// Local is the in-process Shard: a row window over a dataset view (the
-// stats and nearest stages), an XY source (the density stages), or both.
-// Locals are cheap to construct — the coordinator builds a fresh set per
-// stage input — except when they carry a built index backend, which the
-// coordinator reuses across calls (and shares across sessions through
-// index.Cache).
+// Local is one shard: a row window over a dataset view (the stats and
+// nearest stages) or an XY source (the density stages). Its partials take
+// and return plain values (vectors, moment structs, lattices, candidate
+// lists) and honor context cancellation. Locals are cheap to construct —
+// the coordinator builds a fresh set per stage input.
 type Local struct {
 	id, lo, hi int
 	view       *dataset.View
 	xy         kde.XYSource
-	backend    index.Backend
 
 	// workers is the goroutine budget of the shard's own row sweeps (the
 	// top-s distance fill, the exact density lattice): the coordinator
@@ -174,19 +130,6 @@ type Local struct {
 	// coordinator's per-shard slot for the shards it builds).
 	near *[]Cand
 }
-
-// NewLocal returns a Local shard with the given ID over rows [lo, hi) of
-// view v (may be nil for density-only shards) and XY source xy (may be
-// nil for view-only shards). Its own sweeps run serially.
-func NewLocal(id int, lo, hi int, v *dataset.View, xy kde.XYSource) *Local {
-	return &Local{id: id, lo: lo, hi: hi, view: v, xy: xy, workers: 1, near: new([]Cand)}
-}
-
-// ID implements Shard.
-func (l *Local) ID() int { return l.id }
-
-// Rows implements Shard.
-func (l *Local) Rows() (lo, hi int) { return l.lo, l.hi }
 
 func (l *Local) needView(stage string) error {
 	if l.view == nil {
@@ -202,7 +145,7 @@ func (l *Local) needXY(stage string) error {
 	return nil
 }
 
-// ColumnSums implements Shard.
+// ColumnSums is the first-moment stats partial (dataset.ColumnSums).
 func (l *Local) ColumnSums(ctx context.Context) (dataset.MomentSums, error) {
 	if err := l.needView("stats"); err != nil {
 		return dataset.MomentSums{}, err
@@ -210,7 +153,8 @@ func (l *Local) ColumnSums(ctx context.Context) (dataset.MomentSums, error) {
 	return l.view.ColumnSums(ctx, l.lo, l.hi)
 }
 
-// CenteredMoment implements Shard.
+// CenteredMoment is the second-moment stats partial about the global
+// mean (dataset.CenteredMoment).
 func (l *Local) CenteredMoment(ctx context.Context, mean linalg.Vector) (*linalg.Matrix, error) {
 	if err := l.needView("stats"); err != nil {
 		return nil, err
@@ -218,8 +162,9 @@ func (l *Local) CenteredMoment(ctx context.Context, mean linalg.Vector) (*linalg
 	return l.view.CenteredMoment(ctx, l.lo, l.hi, mean)
 }
 
-// Nearest implements Shard: exact projected distances for every row of
-// the window, filled into the reused buffer one row-owned slot each (on
+// Nearest returns the shard's k nearest rows to the projected query qp
+// under sub's projected distance, ascending (dist, pos): exact projected
+// distances for every row of the window, filled into the reused buffer one row-owned slot each (on
 // the shard's worker budget), then the bounded top-k selection. Only the
 // k survivors are copied out, so a call allocates O(k), not O(rows).
 func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vector, k int) ([]Cand, error) {
@@ -253,7 +198,8 @@ func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vec
 	return append([]Cand(nil), buf[:k]...), nil
 }
 
-// DensityExtent implements Shard.
+// DensityExtent is the extent partial of the density stage
+// (kde.CollectExtent).
 func (l *Local) DensityExtent(ctx context.Context) (kde.Extent, error) {
 	if err := l.needXY("density"); err != nil {
 		return kde.Extent{}, err
@@ -264,7 +210,8 @@ func (l *Local) DensityExtent(ctx context.Context) (kde.Extent, error) {
 	return kde.CollectExtent(l.xy, l.lo, l.hi), nil
 }
 
-// DensitySpread implements Shard.
+// DensitySpread is the spread partial of the density stage
+// (kde.CollectSpread).
 func (l *Local) DensitySpread(ctx context.Context, meanX, meanY float64) (kde.Spread, error) {
 	if err := l.needXY("density"); err != nil {
 		return kde.Spread{}, err
@@ -275,8 +222,8 @@ func (l *Local) DensitySpread(ctx context.Context, meanX, meanY float64) (kde.Sp
 	return kde.CollectSpread(l.xy, l.lo, l.hi, meanX, meanY), nil
 }
 
-// DensityLattice implements Shard, choosing the estimator the grid was
-// planned for: CIC weights for binned grids, raw node sums for exact.
+// DensityLattice is the lattice partial of the density stage, choosing
+// the estimator the grid was planned for: CIC weights for binned grids, raw node sums for exact.
 func (l *Local) DensityLattice(ctx context.Context, g *kde.Grid) ([]float64, error) {
 	if err := l.needXY("density"); err != nil {
 		return nil, err
@@ -288,81 +235,4 @@ func (l *Local) DensityLattice(ctx context.Context, g *kde.Grid) ([]float64, err
 		return kde.BinnedPartial(g, l.xy, l.lo, l.hi), nil
 	}
 	return kde.ExactPartial(ctx, g, l.xy, l.lo, l.hi, l.workers)
-}
-
-// windowSource adapts the shard's view window to index.Source: positions
-// are local to the window, IDs resolve through to original rows.
-type windowSource struct {
-	v      *dataset.View
-	lo, hi int
-}
-
-func (s windowSource) N() int                    { return s.hi - s.lo }
-func (s windowSource) Dim() int                  { return s.v.Dim() }
-func (s windowSource) Point(i int) linalg.Vector { return s.v.Point(s.lo + i) }
-func (s windowSource) ID(i int) int              { return s.v.ID(s.lo + i) }
-
-// source returns the index.Source over rows [lo, hi) of v: the view
-// itself when the window covers it (the one-shard case), so the backend
-// reads rows without the window's indirection.
-func source(v *dataset.View, lo, hi int) index.Source {
-	if lo == 0 && hi == v.N() {
-		return v
-	}
-	return windowSource{v: v, lo: lo, hi: hi}
-}
-
-// BuildIndex implements Shard.
-func (l *Local) BuildIndex(ctx context.Context, cfg index.Config) error {
-	if err := l.needView("candidates"); err != nil {
-		return err
-	}
-	b, err := index.New(cfg.Name)
-	if err != nil {
-		return err
-	}
-	if err := b.Build(ctx, source(l.view, l.lo, l.hi), cfg.Options); err != nil {
-		return err
-	}
-	l.backend = b
-	return nil
-}
-
-// SetBackend installs an already built backend (an index.Cache hit) in
-// place of BuildIndex.
-func (l *Local) SetBackend(b index.Backend) { l.backend = b }
-
-// Backend returns the shard's built backend, or nil.
-func (l *Local) Backend() index.Backend { return l.backend }
-
-// Candidates implements Shard: the backend's KNN partial with positions
-// translated to stage-global.
-func (l *Local) Candidates(ctx context.Context, q linalg.Vector, k int) ([]index.Candidate, index.Stats, error) {
-	return l.query(func(b index.Backend) ([]index.Candidate, index.Stats, error) {
-		return b.KNN(ctx, q, k)
-	})
-}
-
-// CandidatesAxis implements Shard: the backend's KNNAxis partial with
-// positions translated to stage-global, like Candidates.
-func (l *Local) CandidatesAxis(ctx context.Context, qaxis []float64, axes []int, k int) ([]index.Candidate, index.Stats, error) {
-	return l.query(func(b index.Backend) ([]index.Candidate, index.Stats, error) {
-		return b.KNNAxis(ctx, qaxis, axes, k)
-	})
-}
-
-// query runs one search on the shard's built backend and translates the
-// window-local candidate positions to stage-global ones.
-func (l *Local) query(search func(index.Backend) ([]index.Candidate, index.Stats, error)) ([]index.Candidate, index.Stats, error) {
-	if l.backend == nil {
-		return nil, index.Stats{}, fmt.Errorf("shard %d: candidates before BuildIndex", l.id)
-	}
-	cands, st, err := search(l.backend)
-	if err != nil {
-		return nil, st, err
-	}
-	for i := range cands {
-		cands[i].Pos += l.lo
-	}
-	return cands, st, nil
 }

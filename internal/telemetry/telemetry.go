@@ -82,9 +82,10 @@ const (
 	// Refined the backend's work counters (see index.Stats).
 	EventCandidateGen EventType = "candidate_gen"
 	// EventShardScatter marks the fan-out of one engine stage across the
-	// session's shards: Stage names the stage kernel ("stats", "nearest",
-	// "kde", "candidates"), Shards the partition width, N the stage's
-	// input rows. Emitted once per scatter, before the partials run.
+	// session's shards: Stage names the stage kernel ("stats/sums",
+	// "nearest", "kde/lattice", ...), Shards the partition width, N the
+	// stage's input rows. Emitted once per scatter, before the partials
+	// run.
 	EventShardScatter EventType = "shard_scatter"
 	// EventShardGather reports one shard's partial completing: Shard is
 	// the shard index, Stage the stage kernel, DurationMS the partial's
@@ -158,8 +159,8 @@ type Event struct {
 	Scanned int    `json:"scanned,omitempty"`
 	Refined int    `json:"refined,omitempty"`
 	// Stage names the stage kernel of a shard_scatter/shard_gather event;
-	// Shard is the 0-based shard index of a gather (or per-shard
-	// index_build) and Shards the session's partition width.
+	// Shard is the 0-based shard index of a gather and Shards the
+	// partition width (shard and span events, session_start).
 	Stage  string `json:"stage,omitempty"`
 	Shard  int    `json:"shard,omitempty"`
 	Shards int    `json:"shards,omitempty"`
