@@ -105,11 +105,12 @@ func TestSessionTinyDataset(t *testing.T) {
 
 func TestSessionAdversarialUserDecisions(t *testing.T) {
 	// A user returning pathological answers: negative τ, gigantic τ,
-	// NaN-free but nonsensical weights — the session must not panic and
-	// must produce a coherent (possibly empty) result.
+	// NaN-free but nonsensical weights, or a weight so large that w²
+	// overflows — the session must not panic and must produce a coherent
+	// (possibly empty) result with every P(j) in [0, 1].
 	ds, q := clusteredDataset(t, 200, 30, 6, 32)
 	step := 0
-	u := UserFunc(func(p *VisualProfile, _ func(tau float64) *grid.Region) Decision {
+	mixed := UserFunc(func(p *VisualProfile, _ func(tau float64) *grid.Region) Decision {
 		step++
 		switch step % 4 {
 		case 0:
@@ -122,17 +123,30 @@ func TestSessionAdversarialUserDecisions(t *testing.T) {
 			return Decision{Tau: 0, Weight: 1e9}
 		}
 	})
-	s, err := NewSession(ds, q, u, Config{GridSize: 16, MaxMajorIterations: 2, Mode: ModeAxis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nb := range res.Neighbors {
-		if math.IsNaN(nb.Probability) || nb.Probability < 0 || nb.Probability > 1 {
-			t.Fatalf("probability out of range: %+v", nb)
+	huge := UserFunc(func(p *VisualProfile, _ func(tau float64) *grid.Region) Decision {
+		return Decision{Tau: 0.3 * p.QueryDensity, Weight: 1e308}
+	})
+	for _, tc := range []struct {
+		name string
+		u    User
+	}{{"mixed", mixed}, {"weight 1e308", huge}} {
+		s, err := NewSession(ds, q, tc.u, Config{GridSize: 16, MaxMajorIterations: 2, Mode: ModeAxis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range res.Neighbors {
+			if math.IsNaN(nb.Probability) || nb.Probability < 0 || nb.Probability > 1 {
+				t.Fatalf("%s: probability out of range: %+v", tc.name, nb)
+			}
+		}
+		for id, p := range res.Probabilities {
+			if math.IsNaN(p) || p < 0 || p > 1 {
+				t.Fatalf("%s: P(%d) = %v out of range", tc.name, id, p)
+			}
 		}
 	}
 }

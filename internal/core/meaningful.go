@@ -28,6 +28,9 @@ type PickStats struct {
 //
 // When the variance is zero (every projection picked nothing or
 // everything) no point can be distinguished and all probabilities are 0.
+// The same holds when the statistic overflows: a non-finite variance
+// gives every point P(j) = 0, and a non-finite M(j) gives point j 0, so
+// P(j) ∈ [0, 1] for any finite weights.
 func QuantifyMeaningfulness(counts []float64, n int, picks []PickStats) []float64 {
 	probs := make([]float64, len(counts))
 	if n <= 0 || len(picks) == 0 {
@@ -43,12 +46,15 @@ func QuantifyMeaningfulness(counts []float64, n int, picks []PickStats) []float6
 		ey += w * frac
 		vy += w * w * frac * (1 - frac)
 	}
-	if vy <= 0 {
+	if !(vy > 0) || math.IsInf(vy, 1) {
 		return probs
 	}
 	sd := math.Sqrt(vy)
 	for j, v := range counts {
 		m := (v - ey) / sd
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			continue
+		}
 		p := 2*stats.NormalCDF(m) - 1
 		if p < 0 {
 			p = 0

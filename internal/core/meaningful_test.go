@@ -85,6 +85,38 @@ func TestQuantifyMeaningfulnessEdgeCases(t *testing.T) {
 	}
 }
 
+func TestQuantifyMeaningfulnessOverflow(t *testing.T) {
+	// Weights large enough to overflow the statistic leave no point
+	// distinguishable: P(j) = 0, never NaN.
+	cases := []struct {
+		name   string
+		counts []float64
+		n      int
+		picks  []PickStats
+	}{
+		// w²·frac·(1−frac) = Inf·0: one all-picked view.
+		{"all picked at w=1e200", []float64{1e200, 1e200}, 2, []PickStats{{Picked: 2, Weight: 1e200}}},
+		// w² = Inf, and a point picked twice counts Inf.
+		{"w=1e308", []float64{math.Inf(1), 1e308, 0, 0}, 4, []PickStats{{Picked: 2, Weight: 1e308}, {Picked: 1, Weight: 1e308}}},
+		// Finite variance, but M(j) = (v − E[Y])/√var overflows.
+		{"infinite M(j)", []float64{1e200, 0, 0, 0}, 4, []PickStats{{Picked: 2, Weight: 1e-150}}},
+	}
+	for _, tc := range cases {
+		probs := QuantifyMeaningfulness(tc.counts, tc.n, tc.picks)
+		if len(probs) != len(tc.counts) {
+			t.Fatalf("%s: %d probabilities for %d counts", tc.name, len(probs), len(tc.counts))
+		}
+		if probs[0] != 0 {
+			t.Errorf("%s: P(0) = %v, want 0", tc.name, probs[0])
+		}
+		for j, p := range probs {
+			if !(p >= 0 && p <= 1) {
+				t.Errorf("%s: P(%d) = %v outside [0, 1]", tc.name, j, p)
+			}
+		}
+	}
+}
+
 func TestQuantifyMeaningfulnessWeights(t *testing.T) {
 	// A point picked only in the heavily weighted projection should score
 	// higher than one picked only in the light projection.

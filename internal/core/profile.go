@@ -171,9 +171,9 @@ func BuildProfileContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vect
 // from composing the projection onto the view — the same float-operation
 // order as the eager ProjectRows path, materialized once and shared by the
 // density estimate, the discrimination score, the selection passes, and
-// the profile's Points field. The density partials (extent, spread,
-// lattice) scatter over the coordinator and merge in shard order; at P=1
-// that is kde.Estimate2DContext bit for bit.
+// the profile's Points field. The density estimate is kde's one
+// partial/merge composition run over the coordinator's row windows; at
+// P=1 that is one window, the composition kde.Estimate2DContext runs.
 func buildProfile(ctx context.Context, v *dataset.View, q linalg.Vector, proj *linalg.Subspace, members []int, opts kde.Options, coord *shard.Coordinator) (*VisualProfile, error) {
 	pv, err := v.Compose(proj)
 	if err != nil {

@@ -468,14 +468,6 @@ func FindQueryCenteredProjection(ds *dataset.Dataset, q linalg.Vector, cfg Proje
 	return FindQueryCenteredProjectionDimContext(context.Background(), ds, q, cfg, 2)
 }
 
-// FindQueryCenteredProjectionContext is FindQueryCenteredProjection with
-// cooperative cancellation: the graded refinement checks ctx between
-// stages (and inside the parallel distance/variance sweeps) and returns
-// the context's error once canceled.
-func FindQueryCenteredProjectionContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch) (*linalg.Subspace, error) {
-	return FindQueryCenteredProjectionDimContext(ctx, ds, q, cfg, 2)
-}
-
 // FindQueryCenteredProjectionDim is FindQueryCenteredProjection with a
 // configurable target dimensionality: the graded halving stops at target
 // instead of 2. The visualizable target of the interactive system is 2;
@@ -485,7 +477,9 @@ func FindQueryCenteredProjectionDim(ds *dataset.Dataset, q linalg.Vector, cfg Pr
 }
 
 // FindQueryCenteredProjectionDimContext is FindQueryCenteredProjectionDim
-// with cooperative cancellation (see FindQueryCenteredProjectionContext).
+// with cooperative cancellation: the graded refinement checks ctx between
+// stages (and inside the parallel distance/variance sweeps) and returns
+// the context's error once canceled.
 func FindQueryCenteredProjectionDimContext(ctx context.Context, ds *dataset.Dataset, q linalg.Vector, cfg ProjectionSearch, target int) (*linalg.Subspace, error) {
 	return findProjectionDim(ctx, ds.View(), q, cfg.standalone(), target, &searchScratch{}, nil)
 }
@@ -599,25 +593,6 @@ func DiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subs
 		return 0
 	}
 	return discriminationOf(v, members, proj, nil)
-}
-
-// HoldoutDiscriminationScore scores proj on the second band of the
-// query's full-space neighborhood — the points ranked support+1 … 2·support
-// by full-space distance. A projection that was (explicitly or
-// implicitly) optimized on the first band cannot inflate its score here
-// unless it captures genuine structure that generalizes, which makes this
-// the right statistic for comparing projection families of different
-// expressive power (ModeAuto).
-func HoldoutDiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subspace, support int) float64 {
-	v := ds.View()
-	all, err := nearestPositions(context.Background(), shard.New(shard.Config{Workers: 1}), v, q, linalg.FullSpace(v.Dim()), 2*support, &searchScratch{}, nil)
-	if err != nil {
-		return 0
-	}
-	if len(all) <= support {
-		return discriminationOf(v, all, proj, nil)
-	}
-	return discriminationOf(v, all[support:], proj, nil)
 }
 
 // discriminationOf computes the clamped 1 − mean(λᵢ/γᵢ) score for an

@@ -5,65 +5,99 @@ import (
 	"fmt"
 
 	"innsearch/internal/linalg"
+	"innsearch/internal/parallel"
 )
 
-// This file holds the partial/merge decomposition of ViewStats — the
-// moment kernels a scatter-gather coordinator (internal/shard) runs per
-// shard and merges in ascending shard order. The decomposition is
-// two-pass around the global mean rather than a one-pass streaming merge:
-// pass one gathers per-shard column sums and fixes the global mean, pass
-// two gathers per-shard second moments centered on that mean. Centering
-// every shard on the same mean keeps the only sharding effect a
-// re-association of per-entry float additions, so a single partial over
-// the full row range reproduces Matrix.Mean / Matrix.CovarianceContext
-// bit for bit, and any shard count agrees to ≤ 1e-10 relative.
+// This file holds the partial/merge decomposition of ViewStats for a
+// P-way row partition, composed over a parallel.Scatter (ShardedStats).
+// The decomposition is two-pass around the global mean rather than a
+// one-pass streaming merge: pass one gathers per-window column sums and
+// fixes the global mean, pass two gathers per-window second moments
+// centered on that mean. Centering every window on the same mean keeps
+// the only sharding effect a re-association of per-entry float
+// additions, so a single window over the full row range reproduces
+// Matrix.Mean / Matrix.CovarianceContext bit for bit, and any window
+// count agrees to ≤ 1e-10 relative.
 //
 // Determinism rules (the merge contract):
 //   - a partial sweeps its rows in ascending view order;
-//   - partials are merged in ascending shard order, serially;
+//   - partials are merged in ascending window order, serially;
 //   - the finishing step (× 1/n, symmetrize) runs once, after the merge.
-//
-// All three kernels are plain-value in/out — a future remote shard can
-// compute its partial elsewhere and ship the MomentSums / moment matrix
-// over the wire.
 
 // statsCancelStride is how many rows a moment kernel sweeps between
 // context checks: frequent enough that a canceled session abandons a
-// scatter mid-shard, rare enough to stay off the profile.
+// scatter mid-window, rare enough to stay off the profile.
 const statsCancelStride = 1024
 
-// MomentSums is the first-moment partial of a row range: the per-column
+// shardedMoments runs the two scattered moment passes over sc's row
+// windows (stages "stats/sums" and "stats/moments"): per-window column
+// sums → global mean, then per-window centered second moments about that
+// mean, merged in window order and finished once.
+func (v *View) shardedMoments(ctx context.Context, sc parallel.Scatter) (*ViewStats, error) {
+	n := v.N()
+	k := parallel.Windows(sc.Shards(), n)
+	sums := make([]momentSums, k)
+	err := sc.Run(ctx, "stats/sums", n, func(ctx context.Context, w, lo, hi, _ int) error {
+		var err error
+		sums[w], err = v.columnSums(ctx, lo, hi)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	merged, err := mergeMomentSums(sums)
+	if err != nil {
+		return nil, err
+	}
+	mean := merged.mean()
+	m2s := make([]*linalg.Matrix, k)
+	err = sc.Run(ctx, "stats/moments", n, func(ctx context.Context, w, lo, hi, _ int) error {
+		var err error
+		m2s[w], err = v.centeredMoment(ctx, lo, hi, mean)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	m2, err := mergeCenteredMoments(m2s)
+	if err != nil {
+		return nil, err
+	}
+	return finishStats(merged, m2)
+}
+
+// momentSums is the first-moment partial of a row range: the per-column
 // coordinate sums and the number of rows summed.
-type MomentSums struct {
+type momentSums struct {
 	N   int
 	Sum linalg.Vector
 }
 
-// ColumnSums accumulates the column sums of view rows [lo, hi) in
+// columnSums accumulates the column sums of view rows [lo, hi) in
 // ascending order — the accumulation order of Matrix.Mean, so a full-range
 // partial finishes to the same mean bit for bit.
-func (v *View) ColumnSums(ctx context.Context, lo, hi int) (MomentSums, error) {
+func (v *View) columnSums(ctx context.Context, lo, hi int) (momentSums, error) {
 	if err := checkRange(v, lo, hi); err != nil {
-		return MomentSums{}, err
+		return momentSums{}, err
 	}
 	sum := make(linalg.Vector, v.Dim())
 	for i := lo; i < hi; i++ {
 		if (i-lo)%statsCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return MomentSums{}, err
+				return momentSums{}, err
 			}
 		}
 		for j, x := range v.Point(i) {
 			sum[j] += x
 		}
 	}
-	return MomentSums{N: hi - lo, Sum: sum}, nil
+	return momentSums{N: hi - lo, Sum: sum}, nil
 }
 
-// MergeMomentSums folds first-moment partials in the order given (the
-// ascending shard order). Dimensions must agree across partials.
-func MergeMomentSums(parts []MomentSums) (MomentSums, error) {
-	var out MomentSums
+// mergeMomentSums folds first-moment partials in the order given (the
+// ascending window order). Dimensions must agree across partials.
+func mergeMomentSums(parts []momentSums) (momentSums, error) {
+	var out momentSums
 	for k, p := range parts {
 		if p.Sum == nil {
 			continue
@@ -74,7 +108,7 @@ func MergeMomentSums(parts []MomentSums) (MomentSums, error) {
 			continue
 		}
 		if len(p.Sum) != len(out.Sum) {
-			return MomentSums{}, fmt.Errorf("dataset: merge moment partial %d with dim %d into %d", k, len(p.Sum), len(out.Sum))
+			return momentSums{}, fmt.Errorf("dataset: merge moment partial %d with dim %d into %d", k, len(p.Sum), len(out.Sum))
 		}
 		for j, x := range p.Sum {
 			out.Sum[j] += x
@@ -84,9 +118,9 @@ func MergeMomentSums(parts []MomentSums) (MomentSums, error) {
 	return out, nil
 }
 
-// Mean finishes the first moment: sum × 1/n per column, exactly the
+// mean finishes the first moment: sum × 1/n per column, exactly the
 // finishing multiply of Matrix.Mean. Returns nil for an empty partial.
-func (s MomentSums) Mean() linalg.Vector {
+func (s momentSums) mean() linalg.Vector {
 	if s.N == 0 {
 		return nil
 	}
@@ -98,13 +132,13 @@ func (s MomentSums) Mean() linalg.Vector {
 	return mean
 }
 
-// CenteredMoment accumulates the upper-triangular second moment of view
+// centeredMoment accumulates the upper-triangular second moment of view
 // rows [lo, hi) about the given (global) mean: M2[a][b] = Σᵢ (xᵢₐ−μₐ)(xᵢᵦ−μᵦ)
 // for b ≥ a. Rows sweep in ascending order and the zero-deviation skip
 // matches Matrix.CovarianceContext, so each entry of a full-range partial
 // carries the identical addition sequence. The lower triangle is left
-// zero until FinishStats symmetrizes.
-func (v *View) CenteredMoment(ctx context.Context, lo, hi int, mean linalg.Vector) (*linalg.Matrix, error) {
+// zero until finishStats symmetrizes.
+func (v *View) centeredMoment(ctx context.Context, lo, hi int, mean linalg.Vector) (*linalg.Matrix, error) {
 	if err := checkRange(v, lo, hi); err != nil {
 		return nil, err
 	}
@@ -134,9 +168,9 @@ func (v *View) CenteredMoment(ctx context.Context, lo, hi int, mean linalg.Vecto
 	return m2, nil
 }
 
-// MergeCenteredMoments folds second-moment partials entrywise in the
-// order given (the ascending shard order).
-func MergeCenteredMoments(parts []*linalg.Matrix) (*linalg.Matrix, error) {
+// mergeCenteredMoments folds second-moment partials entrywise in the
+// order given (the ascending window order).
+func mergeCenteredMoments(parts []*linalg.Matrix) (*linalg.Matrix, error) {
 	var out *linalg.Matrix
 	for k, p := range parts {
 		if p == nil {
@@ -157,11 +191,11 @@ func MergeCenteredMoments(parts []*linalg.Matrix) (*linalg.Matrix, error) {
 	return out, nil
 }
 
-// FinishStats turns merged moment partials into ViewStats: mean from the
+// finishStats turns merged moment partials into ViewStats: mean from the
 // sums, covariance as M2 × 1/n symmetrized — the finishing arithmetic of
 // Matrix.CovarianceContext, including its n < 2 zero-matrix convention.
-func FinishStats(sums MomentSums, m2 *linalg.Matrix) (*ViewStats, error) {
-	mean := sums.Mean()
+func finishStats(sums momentSums, m2 *linalg.Matrix) (*ViewStats, error) {
+	mean := sums.mean()
 	if mean == nil {
 		return nil, ErrEmpty
 	}
@@ -184,10 +218,7 @@ func FinishStats(sums MomentSums, m2 *linalg.Matrix) (*ViewStats, error) {
 }
 
 // Base exposes the projection stage of a composed view: the view it reads
-// from and the subspace applied, or (nil, nil) for ambient views. The
-// shard coordinator uses it to mirror Stats' pull-through shortcut —
-// sharding the base sweep and projecting the merged moments — instead of
-// sweeping projected coordinates.
+// from and the subspace applied, or (nil, nil) for ambient views.
 func (v *View) Base() (*View, *linalg.Subspace) { return v.base, v.proj }
 
 func checkRange(v *View, lo, hi int) error {

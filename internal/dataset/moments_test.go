@@ -2,11 +2,11 @@ package dataset
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"innsearch/internal/linalg"
 )
 
 // shardCuts splits [0, n) into p contiguous windows at random cut points.
@@ -29,8 +29,35 @@ func shardCuts(r *rand.Rand, n, p int) [][2]int {
 	return out
 }
 
-// TestMomentPartialFullRangeBitIdentical is the P=1 contract: one partial
-// over the whole view, finished, must reproduce Stats bit for bit.
+// windowScatter is a fake parallel.Scatter over fixed, possibly uneven
+// row windows: it runs each pass serially in window order, records the
+// stage names, and cancels before the pass named cancelAt, so tests
+// drive the shipped moment composition at any partition.
+type windowScatter struct {
+	windows  [][2]int
+	stages   []string
+	cancelAt string
+	cancel   context.CancelFunc
+}
+
+func (s *windowScatter) Shards() int { return len(s.windows) }
+
+func (s *windowScatter) Run(ctx context.Context, stage string, _ int, part func(ctx context.Context, w, lo, hi, workers int) error) error {
+	s.stages = append(s.stages, stage)
+	if stage == s.cancelAt {
+		s.cancel()
+	}
+	for w, b := range s.windows {
+		if err := part(ctx, w, b[0], b[1], 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMomentPartialFullRangeBitIdentical is the P=1 contract: the
+// composition over one full-range window must reproduce Stats bit for
+// bit, through the two named passes.
 func TestMomentPartialFullRangeBitIdentical(t *testing.T) {
 	ds := randomViewDataset(t, 21, 300, 7)
 	v := ds.View()
@@ -39,21 +66,13 @@ func TestMomentPartialFullRangeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := v.ColumnSums(ctx, 0, v.N())
+	sc := &windowScatter{windows: [][2]int{{0, v.N()}}}
+	st, err := v.shardedMoments(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeMomentSums([]MomentSums{sums})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := v.CenteredMoment(ctx, 0, v.N(), merged.Mean())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := FinishStats(merged, m2)
-	if err != nil {
-		t.Fatal(err)
+	if stages := []string{"stats/sums", "stats/moments"}; !reflect.DeepEqual(sc.stages, stages) {
+		t.Fatalf("passes %v, want %v", sc.stages, stages)
 	}
 	for j := range want.Mean {
 		if st.Mean[j] != want.Mean[j] {
@@ -67,9 +86,10 @@ func TestMomentPartialFullRangeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMomentMergeMatchesUnsharded is the property test over random shard
-// splits: merged partials must agree with the unsharded reference within
-// 1e-10 relative at any partition width.
+// TestMomentMergeMatchesUnsharded is the property test over random
+// uneven windows: the merged moments must agree with the unsharded
+// reference within 1e-10 relative at any partition width, and
+// ShardedStats memoizes them in the slot for the scatter's P.
 func TestMomentMergeMatchesUnsharded(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	ds := randomViewDataset(t, 22, 400, 6)
@@ -82,36 +102,7 @@ func TestMomentMergeMatchesUnsharded(t *testing.T) {
 	scale := want.Cov.MaxAbs()
 	for trial := 0; trial < 20; trial++ {
 		p := 2 + r.Intn(7)
-		windows := shardCuts(r, v.N(), p)
-		var sumParts []MomentSums
-		for _, w := range windows {
-			s, err := v.ColumnSums(ctx, w[0], w[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sumParts = append(sumParts, s)
-		}
-		merged, err := MergeMomentSums(sumParts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged.N != v.N() {
-			t.Fatalf("trial %d: merged N = %d, want %d", trial, merged.N, v.N())
-		}
-		mean := merged.Mean()
-		m2s := make([]*linalg.Matrix, 0, len(windows))
-		for _, w := range windows {
-			m2, err := v.CenteredMoment(ctx, w[0], w[1], mean)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m2s = append(m2s, m2)
-		}
-		m2, err := MergeCenteredMoments(m2s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := FinishStats(merged, m2)
+		st, err := v.shardedMoments(ctx, &windowScatter{windows: shardCuts(r, v.N(), p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +116,17 @@ func TestMomentMergeMatchesUnsharded(t *testing.T) {
 				t.Errorf("trial %d (p=%d): cov[%d] = %v, want %v", trial, p, k, st.Cov.Data[k], want.Cov.Data[k])
 			}
 		}
+	}
+	memo, err := v.ShardedStats(ctx, &windowScatter{windows: shardCuts(r, v.N(), 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := v.ShardedStats(ctx, &windowScatter{windows: shardCuts(r, v.N(), 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != memo || memo == want {
+		t.Fatal("ShardedStats does not memoize one slot per P apart from Stats")
 	}
 }
 
@@ -184,18 +186,17 @@ func TestStorePartition(t *testing.T) {
 	}
 }
 
-// TestMomentKernelCancellation checks that a canceled context aborts the
-// sweeps with the context's error.
+// TestMomentKernelCancellation checks that a context canceled before
+// either pass aborts that pass's sweeps with the context's error.
 func TestMomentKernelCancellation(t *testing.T) {
 	ds := randomViewDataset(t, 24, 50, 3)
 	v := ds.View()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := v.ColumnSums(ctx, 0, v.N()); err == nil {
-		t.Error("ColumnSums ignored cancellation")
-	}
-	mean := make([]float64, v.Dim())
-	if _, err := v.CenteredMoment(ctx, 0, v.N(), mean); err == nil {
-		t.Error("CenteredMoment ignored cancellation")
+	for _, stage := range []string{"stats/sums", "stats/moments"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sc := &windowScatter{windows: [][2]int{{0, 20}, {20, 50}}, cancelAt: stage, cancel: cancel}
+		if _, err := v.shardedMoments(ctx, sc); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s ignored cancellation: got %v", stage, err)
+		}
+		cancel()
 	}
 }

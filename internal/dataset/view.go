@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"innsearch/internal/linalg"
+	"innsearch/internal/parallel"
 )
 
 // View is a lightweight window onto an immutable Store: an optional row
@@ -85,7 +86,7 @@ type ViewStats struct {
 // concurrent callers; the memo is only written on success. Stats is the
 // P=1 slot of ShardedStats.
 func (v *View) Stats(ctx context.Context, workers int) (*ViewStats, error) {
-	return v.ShardedStats(ctx, 1, func(ctx context.Context, a *View) (*ViewStats, error) {
+	return v.memoStats(ctx, 1, func(ctx context.Context, a *View) (*ViewStats, error) {
 		m := a.Coords()
 		cov, err := m.CovarianceContext(ctx, workers)
 		if err != nil {
@@ -95,17 +96,26 @@ func (v *View) Stats(ctx context.Context, workers int) (*ViewStats, error) {
 	})
 }
 
-// ShardedStats is Stats for a P-way row partition: ambient views compute
-// their moments with the given kernel (the P-shard scatter of
-// ColumnSums/CenteredMoment), projected views pull their base's slot P
-// through the projection. Each P has its own memo slot on the view,
-// shared by every caller — so sessions over one store share the root
-// view's moments at their partition count, and the memo is freed with
-// the view. Different P agree only to ≤ 1e-10 relative, which is why
-// they never share a slot. The kernel runs outside the memo lock;
-// concurrent first callers may each run it, and all of them get the
-// pointer published first.
-func (v *View) ShardedStats(ctx context.Context, p int, moments func(context.Context, *View) (*ViewStats, error)) (*ViewStats, error) {
+// ShardedStats is Stats for the P-way row partition of sc (P =
+// sc.Shards()): ambient views run the two scattered moment passes of
+// moments.go over sc, projected views pull their base's slot P through
+// the projection. Each P has its own memo slot on the view, shared by
+// every caller — so sessions over one store share the root view's
+// moments at their partition count, and the memo is freed with the
+// view. Different P agree only to ≤ 1e-10 relative, which is why they
+// never share a slot.
+func (v *View) ShardedStats(ctx context.Context, sc parallel.Scatter) (*ViewStats, error) {
+	return v.memoStats(ctx, sc.Shards(), func(ctx context.Context, a *View) (*ViewStats, error) {
+		return a.shardedMoments(ctx, sc)
+	})
+}
+
+// memoStats returns the memo slot for partition count p, filling it on
+// first call: ambient views run moments, projected views pull their
+// base's slot p through the projection. moments runs outside the memo
+// lock; concurrent first callers may each run it, and all of them get
+// the pointer published first.
+func (v *View) memoStats(ctx context.Context, p int, moments func(context.Context, *View) (*ViewStats, error)) (*ViewStats, error) {
 	v.statsMu.Lock()
 	st := v.memoized(p)
 	v.statsMu.Unlock()
@@ -115,7 +125,7 @@ func (v *View) ShardedStats(ctx context.Context, p int, moments func(context.Con
 	var err error
 	if v.base != nil {
 		var bst *ViewStats
-		if bst, err = v.base.ShardedStats(ctx, p, moments); err != nil {
+		if bst, err = v.base.memoStats(ctx, p, moments); err != nil {
 			return nil, err
 		}
 		cov, err := v.proj.PullThroughCov(bst.Cov)

@@ -32,8 +32,9 @@ const MinGridSize = 4
 const MaxGridSize = 1024
 
 // SilvermanBandwidth returns 1.06·σ·n^(−1/5) for the sample xs, the
-// normal-reference rule the paper cites from Silverman (1986). A zero
-// standard deviation (constant sample) yields a small positive fallback
+// normal-reference rule the paper cites from Silverman (1986). A constant
+// sample — zero standard deviation, or all values equal while a rounded
+// mean leaves a tiny σ > 0 — yields a small positive fallback
 // proportional to max(|x|, 1) so downstream density evaluation stays
 // finite.
 func SilvermanBandwidth(xs []float64) (float64, error) {
@@ -45,7 +46,11 @@ func SilvermanBandwidth(xs []float64) (float64, error) {
 		return 0, err
 	}
 	n := float64(len(xs))
-	if sd > 0 {
+	constant := true
+	for _, x := range xs {
+		constant = constant && x == xs[0]
+	}
+	if sd > 0 && !constant {
 		return 1.06 * sd * math.Pow(n, -0.2), nil
 	}
 	scale := math.Abs(xs[0])
@@ -217,66 +222,18 @@ func Estimate2D(points *linalg.Matrix, opts Options) (*Grid, error) {
 // evaluation checks ctx between row shards and returns the context's error
 // once canceled. Parallelism is controlled by Options.Workers.
 func Estimate2DContext(ctx context.Context, points *linalg.Matrix, opts Options) (*Grid, error) {
-	opts, err := opts.normalized()
-	if err != nil {
-		return nil, err
-	}
 	if points.Cols != 2 {
 		return nil, fmt.Errorf("%w: points have %d columns, want 2", ErrBadInput, points.Cols)
 	}
-	return estimate2DSource(ctx, MatrixXY{M: points}, opts)
+	return Estimate2DSourceContext(ctx, MatrixXY{M: points}, opts)
 }
 
 // Estimate2DSourceContext is Estimate2DContext over an XYSource: the same
 // estimate — same bandwidths, bounds, and densities, bit for bit — without
-// requiring the coordinates to live in a matrix.
+// requiring the coordinates to live in a matrix. It is the partial/merge
+// composition of partial.go run over one window.
 func Estimate2DSourceContext(ctx context.Context, points XYSource, opts Options) (*Grid, error) {
-	opts, err := opts.normalized()
-	if err != nil {
-		return nil, err
-	}
-	return estimate2DSource(ctx, points, opts)
-}
-
-// estimate2DSource is the shared implementation behind the public
-// estimators, composed literally from the partial/merge kernels of
-// partial.go run as one full-range partial: extent → spread → grid plan →
-// lattice → finish. Composing the sharded kernels here (instead of
-// keeping a separate monolithic path) is what makes the P=1 sharded
-// estimate bit-identical to the unsharded one by construction. opts must
-// already be normalized — each entry point validates and defaults the
-// options exactly once before delegating here (PlanGrid re-normalizes,
-// which is idempotent).
-func estimate2DSource(ctx context.Context, points XYSource, opts Options) (*Grid, error) {
-	n := points.Len()
-	ext := CollectExtent(points, 0, n)
-	if ext.N == 0 {
-		return nil, fmt.Errorf("%w: no points", ErrBadInput)
-	}
-	if ext.BadRow >= 0 {
-		return nil, fmt.Errorf("%w: non-finite coordinate at row %d", ErrBadInput, ext.BadRow)
-	}
-	meanX, meanY := ext.Mean()
-	spr := CollectSpread(points, 0, n, meanX, meanY)
-	g, err := PlanGrid(ext, spr, opts)
-	if err != nil {
-		return nil, err
-	}
-	_, stop := stamp(opts)
-	if opts.Exact {
-		lattice, err := ExactPartial(ctx, g, points, 0, n, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		FinishExact(g, lattice)
-	} else {
-		weights := BinnedPartial(g, points, 0, n)
-		if err := FinishBinned(ctx, g, weights, opts.Workers); err != nil {
-			return nil, err
-		}
-	}
-	stop(g)
-	return g, nil
+	return Estimate2DScatter(ctx, whole{workers: opts.Workers}, points, opts)
 }
 
 // gaussianTaps samples exp(−(k·step)²/(2h²)) for k = −R…R with R = ⌈5h/step⌉.

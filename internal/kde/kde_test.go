@@ -38,12 +38,16 @@ func TestSilvermanBandwidth(t *testing.T) {
 }
 
 func TestSilvermanBandwidthDegenerate(t *testing.T) {
-	h, err := SilvermanBandwidth([]float64{5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h <= 0 {
-		t.Errorf("constant sample bandwidth %v, want positive", h)
+	// {0.1, 0.1, 0.1} has a rounded mean that leaves σ ≈ 1.4e-17 > 0; a
+	// constant sample takes the fallback all the same.
+	for _, xs := range [][]float64{{5, 5, 5}, {0.1, 0.1, 0.1}} {
+		h, err := SilvermanBandwidth(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1e-3 * math.Max(math.Abs(xs[0]), 1); h != want {
+			t.Errorf("constant sample %v: bandwidth %v, want the fallback %v", xs, h, want)
+		}
 	}
 	if _, err := SilvermanBandwidth(nil); !errors.Is(err, ErrBadInput) {
 		t.Errorf("empty: %v", err)

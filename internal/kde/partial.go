@@ -9,45 +9,136 @@ import (
 	"innsearch/internal/parallel"
 )
 
-// This file is the partial/merge decomposition of the 2-D density
-// estimate — the kernels a scatter-gather coordinator (internal/shard)
-// runs over row-disjoint shards of the projected points and merges in
-// ascending shard order. The estimate splits into three scatterable
-// passes plus a finishing step that runs once on the merged state:
+// This file is the 2-D density estimate as a partial/merge composition
+// over a parallel.Scatter. The estimate splits into three scattered
+// passes over row windows of the projected points, each merged in
+// ascending window order, plus a finishing step that runs once on the
+// merged state:
 //
-//	extent   — per-shard count, coordinate sums, min/max, finiteness
-//	spread   — per-shard squared deviations about the global mean
-//	lattice  — per-shard grid contributions (CIC weights, or raw exact
+//	extent   — per-window count, coordinate sums, min/max, finiteness
+//	spread   — per-window squared deviations about the global mean
+//	lattice  — per-window grid contributions (CIC weights, or raw exact
 //	           node sums), merged by entrywise addition
 //	finish   — bandwidths → grid geometry → convolution/normalization
 //
+// The unsharded estimators run the composition over one window (whole);
+// a shard coordinator runs it over its P windows (Estimate2DScatter).
 // Determinism rules: each partial sweeps its rows in ascending order,
-// partials merge in ascending shard order, and the finish runs once
-// after the merge. A single partial over the full row range therefore
-// carries exactly the accumulation order of the unsharded estimator —
-// estimate2DSource is literally composed from these kernels — so P=1 is
+// partials merge in ascending window order, and the finish runs once
+// after the merge. A single window therefore carries exactly the
+// unsharded accumulation order — it is the same code — so P=1 is
 // bit-identical by construction, and any P reassociates only per-entry
-// float additions (≤ 1e-10 relative). All partial states are plain
-// values a remote shard could ship over a wire.
+// float additions (≤ 1e-10 relative).
 
-// Extent is the first-pass density partial over a row range: row count,
+// Estimate2DScatter is Estimate2DSourceContext with its three row passes
+// (stages "kde/extent", "kde/spread", "kde/lattice") scattered over sc's
+// row windows. The finish runs on opts.Workers; each window's exact
+// lattice sweep runs on the worker budget sc hands it.
+func Estimate2DScatter(ctx context.Context, sc parallel.Scatter, points XYSource, opts Options) (*Grid, error) {
+	opts, err := opts.normalized()
+	if err != nil {
+		return nil, err
+	}
+	n := points.Len()
+	k := parallel.Windows(sc.Shards(), n)
+	exts := make([]extent, k)
+	err = sc.Run(ctx, "kde/extent", n, func(ctx context.Context, w, lo, hi, _ int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		exts[w] = collectExtent(points, lo, hi)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ext := mergeExtents(exts)
+	if ext.N == 0 {
+		return nil, fmt.Errorf("%w: no points", ErrBadInput)
+	}
+	if ext.BadRow >= 0 {
+		return nil, fmt.Errorf("%w: non-finite coordinate at row %d", ErrBadInput, ext.BadRow)
+	}
+	meanX, meanY := ext.mean()
+	sprs := make([]spread, k)
+	err = sc.Run(ctx, "kde/spread", n, func(ctx context.Context, w, lo, hi, _ int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sprs[w] = collectSpread(points, lo, hi, meanX, meanY)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	g := planGrid(ext, mergeSpreads(sprs), opts)
+	var start time.Time
+	if opts.Clock != nil {
+		start = opts.Clock()
+	}
+	parts := make([][]float64, k)
+	err = sc.Run(ctx, "kde/lattice", n, func(ctx context.Context, w, lo, hi, workers int) error {
+		if !g.Binned {
+			var err error
+			parts[w], err = exactPartial(ctx, g, points, lo, hi, workers)
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		parts[w] = binnedPartial(g, points, lo, hi)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	lattice := parts[0] // one window's partial is the merge as is
+	if k > 1 {
+		if lattice, err = mergeLattices(parts); err != nil {
+			return nil, err
+		}
+	}
+	if g.Binned {
+		if err := finishBinned(ctx, g, lattice, opts.Workers); err != nil {
+			return nil, err
+		}
+	} else {
+		finishExact(g, lattice)
+	}
+	if opts.Clock != nil {
+		g.BuildTime = opts.Clock().Sub(start)
+	}
+	return g, nil
+}
+
+// whole is the one-window scatter of the unsharded estimators: every
+// pass runs once over all rows with the whole worker budget.
+type whole struct{ workers int }
+
+func (whole) Shards() int { return 1 }
+
+func (s whole) Run(ctx context.Context, _ string, n int, part func(ctx context.Context, w, lo, hi, workers int) error) error {
+	return part(ctx, 0, 0, n, s.workers)
+}
+
+// extent is the first-pass density partial over a row range: row count,
 // per-axis coordinate sums (for the global mean), exact min/max, the
 // first row's coordinates (the Silverman zero-spread fallback anchors on
 // them), and the first non-finite row, if any.
-type Extent struct {
+type extent struct {
 	N                      int
 	SumX, SumY             float64
 	MinX, MaxX, MinY, MaxY float64
 	X0, Y0                 float64
 	// BadRow is the index of the first non-finite coordinate in the
-	// range, or -1. Merged extents keep the smallest across shards.
+	// range, or -1. Merged extents keep the smallest across windows.
 	BadRow int
 }
 
-// CollectExtent sweeps rows [lo, hi) of points in ascending order. An
-// empty range yields Extent{N: 0, BadRow: -1}.
-func CollectExtent(points XYSource, lo, hi int) Extent {
-	e := Extent{BadRow: -1}
+// collectExtent sweeps rows [lo, hi) of points in ascending order. An
+// empty range yields extent{N: 0, BadRow: -1}.
+func collectExtent(points XYSource, lo, hi int) extent {
+	e := extent{BadRow: -1}
 	for i := lo; i < hi; i++ {
 		x, y := points.XY(i)
 		if e.BadRow < 0 && (math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0)) {
@@ -77,16 +168,16 @@ func CollectExtent(points XYSource, lo, hi int) Extent {
 	return e
 }
 
-// Mean finishes the extent's first moment: sum / n per axis, the
+// mean finishes the extent's first moment: sum / n per axis, the
 // arithmetic of stats.Mean.
-func (e Extent) Mean() (mx, my float64) {
+func (e extent) mean() (mx, my float64) {
 	return e.SumX / float64(e.N), e.SumY / float64(e.N)
 }
 
-// MergeExtents folds extent partials in the order given (ascending shard
+// mergeExtents folds extent partials in the order given (ascending window
 // order). Min/max are exact under any grouping; the sums reassociate.
-func MergeExtents(parts []Extent) Extent {
-	out := Extent{BadRow: -1}
+func mergeExtents(parts []extent) extent {
+	out := extent{BadRow: -1}
 	for _, p := range parts {
 		if p.N == 0 {
 			continue
@@ -117,46 +208,45 @@ func MergeExtents(parts []Extent) Extent {
 	return out
 }
 
-// Spread is the second-pass density partial: per-axis sums of squared
+// spread is the second-pass density partial: per-axis sums of squared
 // deviations about the global mean fixed by the merged extents.
-type Spread struct {
-	N        int
+type spread struct {
 	SqX, SqY float64
 }
 
-// CollectSpread sweeps rows [lo, hi) in ascending order, accumulating
+// collectSpread sweeps rows [lo, hi) in ascending order, accumulating
 // squared deviations about (meanX, meanY) — the centered pass of
 // stats.Variance with the mean hoisted out.
-func CollectSpread(points XYSource, lo, hi int, meanX, meanY float64) Spread {
-	var s Spread
+func collectSpread(points XYSource, lo, hi int, meanX, meanY float64) spread {
+	var s spread
 	for i := lo; i < hi; i++ {
 		x, y := points.XY(i)
 		dx := x - meanX
 		s.SqX += dx * dx
 		dy := y - meanY
 		s.SqY += dy * dy
-		s.N++
 	}
 	return s
 }
 
-// MergeSpreads folds spread partials in the order given.
-func MergeSpreads(parts []Spread) Spread {
-	var out Spread
+// mergeSpreads folds spread partials in the order given.
+func mergeSpreads(parts []spread) spread {
+	var out spread
 	for _, p := range parts {
 		out.SqX += p.SqX
 		out.SqY += p.SqY
-		out.N += p.N
 	}
 	return out
 }
 
 // silvermanFromSpread is SilvermanBandwidth computed from merged moments
 // instead of a sample slice: sd = √(sq/n), with the same constant-sample
-// fallback anchored on the first row's coordinate.
-func silvermanFromSpread(sq float64, n int, first float64) float64 {
+// fallback anchored on the first row's coordinate. constant (min == max,
+// exact under any window split) selects the fallback even when a rounded
+// mean leaves a constant sample a tiny sd > 0 that depends on the split.
+func silvermanFromSpread(sq float64, n int, first float64, constant bool) float64 {
 	sd := math.Sqrt(sq / float64(n))
-	if sd > 0 {
+	if sd > 0 && !constant {
 		return 1.06 * sd * math.Pow(float64(n), -0.2)
 	}
 	scale := math.Abs(first)
@@ -166,27 +256,14 @@ func silvermanFromSpread(sq float64, n int, first float64) float64 {
 	return 1e-3 * scale
 }
 
-// PlanGrid turns merged extent and spread partials into the grid the
-// lattice pass scatters into: Silverman bandwidths (× BandwidthScale),
-// margin-widened bounds with the degenerate-extent fallback, resolution,
-// and a zeroed density lattice. opts is normalized here, so callers may
-// pass options as-is.
-func PlanGrid(ext Extent, spr Spread, opts Options) (*Grid, error) {
-	opts, err := opts.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if ext.N == 0 {
-		return nil, fmt.Errorf("%w: no points", ErrBadInput)
-	}
-	if ext.BadRow >= 0 {
-		return nil, fmt.Errorf("%w: non-finite coordinate at row %d", ErrBadInput, ext.BadRow)
-	}
-	if spr.N != ext.N {
-		return nil, fmt.Errorf("%w: spread over %d rows, extent over %d", ErrBadInput, spr.N, ext.N)
-	}
-	hx := silvermanFromSpread(spr.SqX, ext.N, ext.X0) * opts.BandwidthScale
-	hy := silvermanFromSpread(spr.SqY, ext.N, ext.Y0) * opts.BandwidthScale
+// planGrid turns a merged non-empty, finite extent and its spread into
+// the grid the lattice pass scatters into: Silverman bandwidths
+// (× BandwidthScale), margin-widened bounds with the degenerate-extent
+// fallback, resolution, and a zeroed density lattice. opts must be
+// normalized.
+func planGrid(ext extent, spr spread, opts Options) *Grid {
+	hx := silvermanFromSpread(spr.SqX, ext.N, ext.X0, ext.MinX == ext.MaxX) * opts.BandwidthScale
+	hy := silvermanFromSpread(spr.SqY, ext.N, ext.Y0, ext.MinY == ext.MaxY) * opts.BandwidthScale
 	g := &Grid{
 		P:    opts.GridSize,
 		MinX: ext.MinX - opts.MarginBandwidths*hx,
@@ -205,13 +282,13 @@ func PlanGrid(ext Extent, spr Spread, opts Options) (*Grid, error) {
 	}
 	g.Density = make([]float64, g.P*g.P)
 	g.Binned = !opts.Exact
-	return g, nil
+	return g
 }
 
-// BinnedPartial scatters rows [lo, hi) onto a fresh weight lattice with
+// binnedPartial scatters rows [lo, hi) onto a fresh weight lattice with
 // bilinear cloud-in-cell weights — the binned estimator's serial scatter
-// restricted to one shard's rows, in ascending order.
-func BinnedPartial(g *Grid, points XYSource, lo, hi int) []float64 {
+// restricted to one window's rows, in ascending order.
+func binnedPartial(g *Grid, points XYSource, lo, hi int) []float64 {
 	p := g.P
 	weights := make([]float64, p*p)
 	sx, sy := g.StepX(), g.StepY()
@@ -253,12 +330,12 @@ func BinnedPartial(g *Grid, points XYSource, lo, hi int) []float64 {
 	return weights
 }
 
-// ExactPartial computes raw per-node kernel sums over rows [lo, hi) — the
-// exact estimator's point loop restricted to one shard, before the 1/N
-// normalization (which Finish applies once, after the merge). Grid rows
-// shard across workers; each node's sum runs the shard's points in
+// exactPartial computes raw per-node kernel sums over rows [lo, hi) — the
+// exact estimator's point loop restricted to one window, before the 1/N
+// normalization (which finishExact applies once, after the merge). Grid
+// rows shard across workers; each node's sum runs the window's points in
 // ascending order.
-func ExactPartial(ctx context.Context, g *Grid, points XYSource, lo, hi, workers int) ([]float64, error) {
+func exactPartial(ctx context.Context, g *Grid, points XYSource, lo, hi, workers int) ([]float64, error) {
 	m := hi - lo
 	xs := make([]float64, m)
 	ys := make([]float64, m)
@@ -288,9 +365,9 @@ func ExactPartial(ctx context.Context, g *Grid, points XYSource, lo, hi, workers
 	return lattice, nil
 }
 
-// MergeLattices folds lattice partials (CIC weights or exact node sums)
+// mergeLattices folds lattice partials (CIC weights or exact node sums)
 // by entrywise addition in the order given.
-func MergeLattices(parts [][]float64) ([]float64, error) {
+func mergeLattices(parts [][]float64) ([]float64, error) {
 	var out []float64
 	for k, p := range parts {
 		if p == nil {
@@ -310,9 +387,9 @@ func MergeLattices(parts [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// FinishExact normalizes a merged exact lattice into g's densities:
+// finishExact normalizes a merged exact lattice into g's densities:
 // node sum × (1/N) × cx × cy, the exact estimator's per-node finish.
-func FinishExact(g *Grid, lattice []float64) {
+func finishExact(g *Grid, lattice []float64) {
 	invN := 1 / float64(g.N)
 	cx := 1 / (math.Sqrt(2*math.Pi) * g.Hx)
 	cy := 1 / (math.Sqrt(2*math.Pi) * g.Hy)
@@ -323,10 +400,10 @@ func FinishExact(g *Grid, lattice []float64) {
 	}
 }
 
-// FinishBinned convolves a merged CIC weight lattice with the separable
+// finishBinned convolves a merged CIC weight lattice with the separable
 // Gaussian taps and normalizes into g's densities — the binned
 // estimator's convolution and scaling, bit-identical at any worker count.
-func FinishBinned(ctx context.Context, g *Grid, weights []float64, workers int) error {
+func finishBinned(ctx context.Context, g *Grid, weights []float64, workers int) error {
 	p := g.P
 	kx := gaussianTaps(g.Hx, g.StepX())
 	ky := gaussianTaps(g.Hy, g.StepY())
@@ -353,14 +430,4 @@ func FinishBinned(ctx context.Context, g *Grid, weights []float64, workers int) 
 		out[i] *= invN * cx * cy
 	}
 	return nil
-}
-
-// stamp records the density evaluation wall time when a clock is
-// configured; shared by the composed estimators.
-func stamp(opts Options) (start time.Time, stop func(*Grid)) {
-	if opts.Clock == nil {
-		return time.Time{}, func(*Grid) {}
-	}
-	start = opts.Clock()
-	return start, func(g *Grid) { g.BuildTime = opts.Clock().Sub(start) }
 }

@@ -2,8 +2,11 @@ package kde
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"innsearch/internal/linalg"
@@ -20,52 +23,47 @@ func randomXY(t *testing.T, seed int64, n int) MatrixXY {
 	return MatrixXY{M: m}
 }
 
-// estimateSharded runs the full partial/merge pipeline over the given
-// row windows — the coordinator's composition, inlined for testing.
-func estimateSharded(t *testing.T, src XYSource, windows [][2]int, opts Options) *Grid {
-	t.Helper()
-	exts := make([]Extent, len(windows))
-	for k, w := range windows {
-		exts[k] = CollectExtent(src, w[0], w[1])
-	}
-	ext := MergeExtents(exts)
-	meanX, meanY := ext.Mean()
-	sprs := make([]Spread, len(windows))
-	for k, w := range windows {
-		sprs[k] = CollectSpread(src, w[0], w[1], meanX, meanY)
-	}
-	g, err := PlanGrid(ext, MergeSpreads(sprs), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([][]float64, len(windows))
-	for k, w := range windows {
-		if opts.Exact {
-			parts[k], err = ExactPartial(context.Background(), g, src, w[0], w[1], 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			parts[k] = BinnedPartial(g, src, w[0], w[1])
-		}
-	}
-	lattice, err := MergeLattices(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Exact {
-		FinishExact(g, lattice)
-	} else {
-		if err := FinishBinned(context.Background(), g, lattice, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
+// windowScatter is a fake parallel.Scatter over fixed, possibly uneven
+// row windows: it runs each pass serially in window order and records
+// the stage names, so tests drive the shipped composition at any
+// partition.
+type windowScatter struct {
+	windows [][2]int
+	stages  []string
 }
 
-// TestPartialSingleShardBitIdentical is the P=1 contract at the kernel
-// level: one full-range partial, merged and finished, must reproduce the
-// unsharded estimator bit for bit — for both estimators.
+func (s *windowScatter) Shards() int { return len(s.windows) }
+
+func (s *windowScatter) Run(ctx context.Context, stage string, _ int, part func(ctx context.Context, w, lo, hi, workers int) error) error {
+	s.stages = append(s.stages, stage)
+	for w, b := range s.windows {
+		if err := part(ctx, w, b[0], b[1], 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// randomWindows splits [0, n) into p contiguous windows at random cuts.
+func randomWindows(r *rand.Rand, n, p int) [][2]int {
+	cuts := map[int]bool{}
+	for len(cuts) < p-1 {
+		cuts[1+r.Intn(n-1)] = true
+	}
+	var windows [][2]int
+	lo := 0
+	for c := 1; c <= n; c++ {
+		if c == n || cuts[c] {
+			windows = append(windows, [2]int{lo, c})
+			lo = c
+		}
+	}
+	return windows
+}
+
+// TestPartialSingleShardBitIdentical is the P=1 contract: the composition
+// over one full-range window must reproduce the unsharded estimator bit
+// for bit — for both estimators — through the three named passes.
 func TestPartialSingleShardBitIdentical(t *testing.T) {
 	src := randomXY(t, 41, 500)
 	for _, exact := range []bool{false, true} {
@@ -74,7 +72,14 @@ func TestPartialSingleShardBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := estimateSharded(t, src, [][2]int{{0, src.Len()}}, opts)
+		sc := &windowScatter{windows: [][2]int{{0, src.Len()}}}
+		got, err := Estimate2DScatter(context.Background(), sc, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stages := []string{"kde/extent", "kde/spread", "kde/lattice"}; !reflect.DeepEqual(sc.stages, stages) {
+			t.Fatalf("exact=%v: passes %v, want %v", exact, sc.stages, stages)
+		}
 		if got.MinX != want.MinX || got.MaxX != want.MaxX || got.Hx != want.Hx || got.Hy != want.Hy {
 			t.Fatalf("exact=%v: grid geometry differs: got %+v bounds, want %+v", exact,
 				[4]float64{got.MinX, got.MaxX, got.MinY, got.MaxY},
@@ -88,9 +93,10 @@ func TestPartialSingleShardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPartialMergeMatchesUnsharded is the property test over random shard
-// splits: the merged estimate must agree with the unsharded reference to
-// ≤ 1e-10 relative at any partition width, for both estimators.
+// TestPartialMergeMatchesUnsharded is the property test over random
+// uneven windows: the merged estimate must agree with the unsharded
+// reference to ≤ 1e-10 relative at any partition width, for both
+// estimators.
 func TestPartialMergeMatchesUnsharded(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	src := randomXY(t, 43, 600)
@@ -104,19 +110,10 @@ func TestPartialMergeMatchesUnsharded(t *testing.T) {
 		scale := want.MaxDensity()
 		for trial := 0; trial < 8; trial++ {
 			p := 2 + r.Intn(6)
-			cuts := map[int]bool{}
-			for len(cuts) < p-1 {
-				cuts[1+r.Intn(n-1)] = true
+			got, err := Estimate2DScatter(context.Background(), &windowScatter{windows: randomWindows(r, n, p)}, src, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var windows [][2]int
-			lo := 0
-			for c := 1; c <= n; c++ {
-				if c == n || cuts[c] {
-					windows = append(windows, [2]int{lo, c})
-					lo = c
-				}
-			}
-			got := estimateSharded(t, src, windows, opts)
 			for i := range want.Density {
 				if d := math.Abs(got.Density[i] - want.Density[i]); d > 1e-10*scale {
 					t.Fatalf("exact=%v trial %d (p=%d): density[%d] = %v, want %v (Δ %v)",
@@ -128,27 +125,27 @@ func TestPartialMergeMatchesUnsharded(t *testing.T) {
 }
 
 // TestPartialNonFinitePropagates checks the finiteness contract: the
-// merged extent carries the globally-first bad row and PlanGrid rejects
-// it with the estimator's error.
+// merged extent carries the globally-first bad row across windows and the
+// composition rejects it with the estimator's error, before any later
+// pass runs.
 func TestPartialNonFinitePropagates(t *testing.T) {
 	src := randomXY(t, 44, 100)
 	src.M.Set(57, 1, math.NaN())
 	src.M.Set(80, 0, math.Inf(1))
-	a := CollectExtent(src, 0, 50)
-	b := CollectExtent(src, 50, 100)
-	ext := MergeExtents([]Extent{a, b})
-	if ext.BadRow != 57 {
-		t.Fatalf("merged BadRow = %d, want 57", ext.BadRow)
+	sc := &windowScatter{windows: [][2]int{{0, 50}, {50, 70}, {70, 100}}}
+	_, err := Estimate2DScatter(context.Background(), sc, src, Options{})
+	if !errors.Is(err, ErrBadInput) || !strings.Contains(err.Error(), "row 57") {
+		t.Fatalf("got %v, want ErrBadInput at row 57", err)
 	}
-	if _, err := PlanGrid(ext, Spread{N: ext.N}, Options{}); err == nil {
-		t.Fatal("PlanGrid accepted a non-finite extent")
+	if len(sc.stages) != 1 {
+		t.Fatalf("passes %v ran after a non-finite extent", sc.stages)
 	}
 }
 
 // TestMergeLatticesShapeMismatch checks that incompatible lattices are
 // rejected.
 func TestMergeLatticesShapeMismatch(t *testing.T) {
-	if _, err := MergeLattices([][]float64{make([]float64, 4), make([]float64, 9)}); err == nil {
+	if _, err := mergeLattices([][]float64{make([]float64, 4), make([]float64, 9)}); err == nil {
 		t.Fatal("mismatched lattice sizes accepted")
 	}
 }

@@ -178,6 +178,31 @@ func ShardBounds(n, shards, shard int) (lo, hi int) {
 	return lo, hi
 }
 
+// Scatter is the seam between a stage's partial/merge composition and
+// whatever runs its partials: the density estimate (internal/kde) and
+// the sharded moments (internal/dataset) own their partial, merge and
+// finish kernels and hand each scattered pass to a Scatter; a shard
+// coordinator (internal/shard) implements it with P row windows and
+// scatter telemetry.
+type Scatter interface {
+	// Shards returns P ≥ 1, the number of row windows a pass over n ≥ P
+	// rows is cut into.
+	Shards() int
+	// Run calls part once per window w in [0, Windows(Shards(), n)) and
+	// waits for every call. The windows [lo, hi) are contiguous, ascending
+	// in w and cover [0, n); how they are cut depends only on (n, P).
+	// workers is the goroutine budget of the window's own row sweeps. stage
+	// names the pass for telemetry. Run returns the error of the lowest
+	// failing window, or the context's error.
+	Run(ctx context.Context, stage string, n int, part func(ctx context.Context, w, lo, hi, workers int) error) error
+}
+
+// Windows returns the number of row windows a Scatter with P shards cuts
+// n rows into: min(P, n), at least 1 (an empty pass is one empty window).
+func Windows(p, n int) int {
+	return max(min(p, n), 1)
+}
+
 // ForShards splits [0, n) into NumShards(workers, n) contiguous shards and
 // runs fn(ctx, shard, lo, hi) once per shard, with the same cancellation
 // and error semantics as For (the returned error is the one of the lowest

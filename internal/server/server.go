@@ -588,6 +588,11 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if req.Weight < 0 {
+		// The paper's wᵢ are importance weights; 0 means the default of 1.
+		writeError(w, http.StatusBadRequest, "negative weight %v", req.Weight)
+		return
+	}
 	if state, _, serr := sessionStateIfDead(sess); state != "" {
 		s.metrics.add(decisionsRejected, 1)
 		writeError(w, http.StatusGone, "session %s: %v", state, serr)

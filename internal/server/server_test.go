@@ -583,3 +583,32 @@ func TestOversizedGridRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeDecisionWeightRejected checks that a decision with a
+// negative weight is a 400 that leaves the view awaiting an answer: the
+// same view then takes a valid decision and the session finishes.
+func TestNegativeDecisionWeightRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	c := newClient(t, ts)
+	row := 3
+	created := c.createSession(wire.CreateSessionRequest{
+		Dataset: "test", QueryRow: &row,
+		Config: wire.SessionConfig{Mode: "axis", GridSize: 16, MaxMajorIterations: 1},
+	})
+	rejected := false
+	res := c.driveSession(created.ID, func(seq int, p *wire.Profile) wire.Decision {
+		if !rejected {
+			rejected = true
+			var errResp wire.Error
+			code := c.do("POST", "/v1/sessions/"+created.ID+"/decision",
+				wire.DecisionRequest{Seq: seq, Decision: wire.Decision{Tau: 0.5 * p.QueryDensity, Weight: -1}}, &errResp)
+			if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "weight") {
+				t.Errorf("negative weight: status %d (%q), want 400 naming the weight", code, errResp.Error)
+			}
+		}
+		return wire.Decision{Tau: 0.5 * p.QueryDensity}
+	})
+	if !rejected || res.State != wire.StateDone {
+		t.Fatalf("session after a rejected decision: rejected=%v state %q (%s)", rejected, res.State, res.Error)
+	}
+}

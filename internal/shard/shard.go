@@ -1,23 +1,25 @@
-// Package shard is the scatter-gather layer of the engine: a Coordinator
-// that runs every per-row scan — moment statistics, top-s nearest
-// positions, density-grid contributions — as partial(shard) →
-// mergeInOrder(partials) over P row-disjoint shards of the session's
-// current working set. Every session runs through a coordinator; the
-// unsharded engine is the degenerate case P=1, one full-range shard whose
-// merge is the identity.
+// Package shard is the scatter layer of the engine: a Coordinator that
+// runs a stage's per-row passes over P row-disjoint windows of the
+// session's current working set, on the session's worker pool, with
+// scatter telemetry. Every session runs through a coordinator; the
+// unsharded engine is the degenerate case P=1, one full-range window
+// whose merge is the identity.
 //
-// The merge layer is the point of the package (the FLANN distributed-
-// matching shape: any local algorithm plus a merge). A shard is a Local:
-// a row window of a dataset view or an XY source, read in place, whose
-// partials are plain values merged in shard order.
+// The coordinator is the FLANN distributed-matching shape — any local
+// algorithm plus a merge — with the merge owned by the algorithm: it
+// implements parallel.Scatter, and the density estimate
+// (kde.Estimate2DScatter) and the sharded moment statistics
+// (dataset.View.ShardedStats) compose their own partials, merges and
+// finishes over it. The one stage it owns is the top-s nearest scan and
+// its merge.
 //
-// Determinism contract (shared with the kernels in internal/dataset and
-// internal/kde):
+// Determinism contract (shared with the compositions in internal/dataset
+// and internal/kde):
 //
-//   - the shard split depends only on (rows, P) via parallel.ShardBounds,
+//   - the window split depends only on (rows, P) via parallel.ShardBounds,
 //     never on worker counts;
 //   - each partial sweeps its rows in ascending order;
-//   - partials merge serially in ascending shard order;
+//   - partials merge serially in ascending window order;
 //   - any finishing arithmetic runs once, after the merge.
 //
 // Under these rules a P-sharded stage is bit-identical across runs and
@@ -30,10 +32,8 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"innsearch/internal/dataset"
-	"innsearch/internal/kde"
 	"innsearch/internal/linalg"
 	"innsearch/internal/parallel"
 )
@@ -106,87 +106,34 @@ func SelectNearest(cands []Cand, k int) {
 	}
 }
 
-// cancelStride is how many rows Local's sweep kernels process between
-// context checks, so a canceled session abandons a scatter mid-shard.
+// cancelStride is how many rows the nearest-window scan processes
+// between context checks, so a canceled session abandons a scatter
+// mid-window.
 const cancelStride = 1024
 
-// Local is one shard: a row window over a dataset view (the stats and
-// nearest stages) or an XY source (the density stages). Its partials take
-// and return plain values (vectors, moment structs, lattices, candidate
-// lists) and honor context cancellation. Locals are cheap to construct —
-// the coordinator builds a fresh set per stage input.
-type Local struct {
-	id, lo, hi int
-	view       *dataset.View
-	xy         kde.XYSource
-
-	// workers is the goroutine budget of the shard's own row sweeps (the
-	// top-s distance fill, the exact density lattice): the coordinator
-	// hands each of its P shards an equal share of its workers, so P=1
-	// keeps the whole pool. Every sweep writes row-owned slots, so the
-	// budget never changes results.
-	workers int
-	// near is the top-s distance buffer, reused across calls (the
-	// coordinator's per-shard slot for the shards it builds).
-	near *[]Cand
-}
-
-func (l *Local) needView(stage string) error {
-	if l.view == nil {
-		return fmt.Errorf("shard %d: %s stage on a shard without a view", l.id, stage)
-	}
-	return nil
-}
-
-func (l *Local) needXY(stage string) error {
-	if l.xy == nil {
-		return fmt.Errorf("shard %d: %s stage on a shard without coordinates", l.id, stage)
-	}
-	return nil
-}
-
-// ColumnSums is the first-moment stats partial (dataset.ColumnSums).
-func (l *Local) ColumnSums(ctx context.Context) (dataset.MomentSums, error) {
-	if err := l.needView("stats"); err != nil {
-		return dataset.MomentSums{}, err
-	}
-	return l.view.ColumnSums(ctx, l.lo, l.hi)
-}
-
-// CenteredMoment is the second-moment stats partial about the global
-// mean (dataset.CenteredMoment).
-func (l *Local) CenteredMoment(ctx context.Context, mean linalg.Vector) (*linalg.Matrix, error) {
-	if err := l.needView("stats"); err != nil {
-		return nil, err
-	}
-	return l.view.CenteredMoment(ctx, l.lo, l.hi, mean)
-}
-
-// Nearest returns the shard's k nearest rows to the projected query qp
-// under sub's projected distance, ascending (dist, pos): exact projected
-// distances for every row of the window, filled into the reused buffer one row-owned slot each (on
-// the shard's worker budget), then the bounded top-k selection. Only the
-// k survivors are copied out, so a call allocates O(k), not O(rows).
-func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vector, k int) ([]Cand, error) {
-	if err := l.needView("nearest"); err != nil {
-		return nil, err
-	}
+// nearestWindow returns the k nearest rows among v's rows [lo, hi) to the
+// projected query qp under sub's projected distance, ascending (dist,
+// pos): exact projected distances for every row of the window, filled
+// into the reused buffer *buf one row-owned slot each (on workers
+// goroutines), then the bounded top-k selection. Only the k survivors
+// are copied out, so a call allocates O(k), not O(rows).
+func nearestWindow(ctx context.Context, v *dataset.View, sub *linalg.Subspace, qp linalg.Vector, k, lo, hi, workers int, buf *[]Cand) ([]Cand, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	n := l.hi - l.lo
-	if cap(*l.near) < n {
-		*l.near = make([]Cand, n)
+	n := hi - lo
+	if cap(*buf) < n {
+		*buf = make([]Cand, n)
 	}
-	buf := (*l.near)[:n]
-	err := parallel.ForShards(ctx, l.workers, n, func(ctx context.Context, _, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelStride == 0 {
+	near := (*buf)[:n]
+	err := parallel.ForShards(ctx, workers, n, func(ctx context.Context, _, slo, shi int) error {
+		for i := slo; i < shi; i++ {
+			if (i-slo)%cancelStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			buf[i] = Cand{Pos: l.lo + i, Dist: sub.ProjDistTo(qp, l.view.Point(l.lo+i))}
+			near[i] = Cand{Pos: lo + i, Dist: sub.ProjDistTo(qp, v.Point(lo+i))}
 		}
 		return nil
 	})
@@ -194,45 +141,6 @@ func (l *Local) Nearest(ctx context.Context, sub *linalg.Subspace, qp linalg.Vec
 		return nil, err
 	}
 	k = min(k, n)
-	SelectNearest(buf, k)
-	return append([]Cand(nil), buf[:k]...), nil
-}
-
-// DensityExtent is the extent partial of the density stage
-// (kde.CollectExtent).
-func (l *Local) DensityExtent(ctx context.Context) (kde.Extent, error) {
-	if err := l.needXY("density"); err != nil {
-		return kde.Extent{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return kde.Extent{}, err
-	}
-	return kde.CollectExtent(l.xy, l.lo, l.hi), nil
-}
-
-// DensitySpread is the spread partial of the density stage
-// (kde.CollectSpread).
-func (l *Local) DensitySpread(ctx context.Context, meanX, meanY float64) (kde.Spread, error) {
-	if err := l.needXY("density"); err != nil {
-		return kde.Spread{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return kde.Spread{}, err
-	}
-	return kde.CollectSpread(l.xy, l.lo, l.hi, meanX, meanY), nil
-}
-
-// DensityLattice is the lattice partial of the density stage, choosing
-// the estimator the grid was planned for: CIC weights for binned grids, raw node sums for exact.
-func (l *Local) DensityLattice(ctx context.Context, g *kde.Grid) ([]float64, error) {
-	if err := l.needXY("density"); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if g.Binned {
-		return kde.BinnedPartial(g, l.xy, l.lo, l.hi), nil
-	}
-	return kde.ExactPartial(ctx, g, l.xy, l.lo, l.hi, l.workers)
+	SelectNearest(near, k)
+	return append([]Cand(nil), near[:k]...), nil
 }
