@@ -41,8 +41,9 @@ type candGen struct {
 	backend index.Backend
 
 	// tr/major/minor are the owning session's tracer context, updated as
-	// the session advances (nil-safe; standalone use leaves them zero).
-	tr           tracer
+	// the session advances (tr nil when untraced; standalone use leaves
+	// them zero).
+	tr           telemetry.Tracer
 	major, minor int
 	// span is the stage span the session is currently inside (the view's
 	// /proj or /kde span); index_build and candidate_gen spans nest under
@@ -96,8 +97,8 @@ func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]inde
 		return nil, err
 	}
 	var t0 time.Time
-	if g.tr.enabled() {
-		t0 = g.tr.now()
+	if g.tr != nil {
+		t0 = g.tr.Now()
 	}
 	cands, st, err := run()
 	if err != nil {
@@ -105,8 +106,8 @@ func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]inde
 	}
 	g.calls++
 	g.stats.Add(st)
-	if g.tr.enabled() {
-		g.tr.emit(telemetry.Event{
+	if g.tr != nil {
+		g.tr.Emit(telemetry.Event{
 			Time:       t0,
 			Type:       telemetry.EventCandidateGen,
 			Major:      g.major,
@@ -118,7 +119,7 @@ func (g *candGen) query(ctx context.Context, v *dataset.View, run func() ([]inde
 			Picked:     len(cands),
 			Scanned:    st.Scanned,
 			Refined:    st.Refined,
-			DurationMS: g.tr.since(t0),
+			DurationMS: float64(g.tr.Now().Sub(t0)) / float64(time.Millisecond),
 			Span:       spanPath(g.span, "candidate_gen#"+strconv.Itoa(g.calls)),
 			Parent:     g.span,
 		})
@@ -136,8 +137,8 @@ func (g *candGen) ensure(ctx context.Context, v *dataset.View) error {
 		return nil
 	}
 	var t0 time.Time
-	if g.tr.enabled() {
-		t0 = g.tr.now()
+	if g.tr != nil {
+		t0 = g.tr.Now()
 	}
 	key := index.CacheKey{Source: v, Name: g.cfg.Name, Options: g.cfg.Options}
 	build := func(ctx context.Context) (index.Backend, error) {
@@ -208,14 +209,14 @@ func (g *candGen) derivable(v *dataset.View) (der index.Deriver, rows []int, ok 
 // ParentN (derivations only) records the size of the index the
 // derivation avoided re-scanning.
 func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, parentN int) {
-	if !g.tr.enabled() {
+	if g.tr == nil {
 		return
 	}
 	typ, stage, spanName, ordinal := telemetry.EventIndexBuild, "index/build", "index_build#", g.builds
 	if derived {
 		typ, stage, spanName, ordinal = telemetry.EventIndexDerive, "index/derive", "index_derive#", g.derives
 	}
-	g.tr.emit(telemetry.Event{
+	g.tr.Emit(telemetry.Event{
 		Time:       t0,
 		Type:       typ,
 		Major:      g.major,
@@ -225,10 +226,20 @@ func (g *candGen) emitEnsure(t0 time.Time, v *dataset.View, derived bool, parent
 		ParentN:    parentN,
 		N:          v.N(),
 		Dim:        v.Dim(),
-		DurationMS: g.tr.since(t0),
+		DurationMS: float64(g.tr.Now().Sub(t0)) / float64(time.Millisecond),
 		Span:       spanPath(g.span, spanName+strconv.Itoa(ordinal)),
 		Parent:     g.span,
 	})
+}
+
+// spanPath joins a leaf onto a parent span, tolerating an empty parent
+// (a candGen used standalone under a tracer but outside any session
+// stage still gets a well-formed root-level span ID).
+func spanPath(parent, leaf string) string {
+	if parent == "" {
+		return leaf
+	}
+	return parent + "/" + leaf
 }
 
 // IndexStats reports the session's candidate-generation counters so far:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/grid"
+	"innsearch/internal/kde"
 )
 
 // Failure-injection tests: degenerate data, adversarial users, and odd
@@ -27,6 +29,25 @@ func TestSessionNonFiniteDataSurfacesError(t *testing.T) {
 		t.Fatal("NaN data did not surface an error")
 	} else if !strings.Contains(err.Error(), "core:") {
 		t.Errorf("error lacks context: %v", err)
+	}
+}
+
+// TestSessionOverflowingBandwidthFails: a bandwidth scale that pushes the
+// density grid past the float range must fail the session with
+// kde.ErrBadInput, not hand the user (or the query-density lookup) a
+// lattice of NaNs.
+func TestSessionOverflowingBandwidthFails(t *testing.T) {
+	ds, q := clusteredDataset(t, 300, 40, 8, 3)
+	for _, mode := range []ProjectionMode{ModeAxis, ModeArbitrary} {
+		s, err := NewSession(ds, q, alwaysTauUser(0.3), Config{
+			GridSize: 16, MaxMajorIterations: 1, Mode: mode, BandwidthScale: 1e308,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); !errors.Is(err, kde.ErrBadInput) {
+			t.Errorf("mode %v: Run error %v, want kde.ErrBadInput", mode, err)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"time"
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
@@ -424,9 +423,11 @@ type ProjectionSearch struct {
 	// data. Off (fast) by default.
 	Exact bool
 
-	// trace, when non-nil, carries the owning session's tracer context so
-	// findProjectionDim can emit one projection_stage event per halving
-	// stage. Sessions set it; standalone callers get no stage events.
+	// trace, when non-nil, carries the owning view's /proj span so
+	// findProjectionDim can open one projection_stage span per halving
+	// stage. Traced sessions set it; standalone callers get no stage
+	// events. It stays behind a pointer: a larger ProjectionSearch makes
+	// clusterSubspace's closure move cfg to the heap.
 	trace *stageTrace
 
 	// gen, when non-nil, is the owning session's candidate-generation
@@ -448,14 +449,13 @@ func (cfg ProjectionSearch) standalone() ProjectionSearch {
 }
 
 // stageTrace is the session context a projection search stamps onto its
-// per-stage telemetry events. span is the enclosing view's /proj span;
-// each halving stage opens a /d{dim} child under it and re-parents the
+// per-stage telemetry events. proj is the enclosing view's /proj span;
+// each halving stage opens a /d{dim} child under it and links the
 // coordinator's scatters there for the stage's duration.
 type stageTrace struct {
-	tr           tracer
+	proj         telemetry.Span
 	major, minor int
 	family       string
-	span         string
 }
 
 // FindQueryCenteredProjection realizes Figure 3: starting from the full
@@ -533,16 +533,10 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 		if !cfg.Graded {
 			next = target
 		}
-		var t0 time.Time
-		var stageSpan string
-		tracing := cfg.trace != nil && cfg.trace.tr.enabled()
-		if tracing {
-			t0 = cfg.trace.tr.now()
-			stageSpan = cfg.trace.span + "/d" + strconv.Itoa(next)
-			cfg.coord.SetSpan(stageSpan)
-			if cfg.gen != nil {
-				cfg.gen.span = stageSpan
-			}
+		var stage telemetry.Span
+		if cfg.trace != nil {
+			stage = cfg.trace.proj.Child("d" + strconv.Itoa(next))
+			linkStage(cfg.coord, cfg.gen, stage)
 		}
 		members := ranking
 		if lp != m || members == nil {
@@ -556,18 +550,14 @@ func findProjectionDim(ctx context.Context, v *dataset.View, q linalg.Vector, cf
 		if err != nil {
 			return nil, err
 		}
-		if tracing {
-			cfg.trace.tr.emit(telemetry.Event{
-				Time:       t0,
-				Type:       telemetry.EventProjectionStage,
-				Major:      cfg.trace.major,
-				Minor:      cfg.trace.minor,
-				Family:     cfg.trace.family,
-				N:          v.N(),
-				Dim:        next,
-				DurationMS: cfg.trace.tr.since(t0),
-				Span:       stageSpan,
-				Parent:     cfg.trace.span,
+		if cfg.trace != nil {
+			stage.End(telemetry.Event{
+				Type:   telemetry.EventProjectionStage,
+				Major:  cfg.trace.major,
+				Minor:  cfg.trace.minor,
+				Family: cfg.trace.family,
+				N:      v.N(),
+				Dim:    next,
 			})
 		}
 		ep = sub

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
+	"strconv"
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/grid"
@@ -239,17 +239,12 @@ type Session struct {
 	converged bool
 	finished  bool
 
-	// tr is the nil-safe tracer wrapper; traceStarted/traceEnded make the
-	// session_start and session_end events exactly-once across Step calls
-	// and error paths, and traceBegan anchors the session_end duration.
-	tr           tracer
-	traceStarted bool
-	traceEnded   bool
-	traceBegan   time.Time
-	// lastViewSpan is the span ID of the view the user last answered
-	// (the contest winner in ModeAuto), which the select event's span
-	// links under. Only maintained while tracing; "" otherwise.
-	lastViewSpan string
+	// root is the session span "s", opened with the session_start
+	// annotation on the first step driven and ended by session_end;
+	// rootEnded makes that end exactly-once across Step calls and error
+	// paths. Inert when no tracer is configured.
+	root      telemetry.Span
+	rootEnded bool
 
 	// autoChoice is ModeAuto's family pick for the current major
 	// iteration (set at the first minor iteration, reused afterwards):
@@ -292,7 +287,6 @@ func NewSession(ds *dataset.Dataset, query []float64, user User, cfg Config) (*S
 	}
 	s := &Session{
 		cfg:       cfg,
-		tr:        tracer{t: cfg.Tracer},
 		user:      user,
 		data:      ds.View(),
 		query:     linalg.Vector(query).Clone(),
@@ -303,7 +297,7 @@ func NewSession(ds *dataset.Dataset, query []float64, user User, cfg Config) (*S
 		coord:     coord,
 	}
 	if gen != nil {
-		gen.tr = s.tr
+		gen.tr = cfg.Tracer
 	}
 	return s, nil
 }
@@ -352,11 +346,12 @@ func (s *Session) StepContext(ctx context.Context) (done bool, err error) {
 		return false, err
 	}
 	s.traceStart()
-	var iterStart time.Time
-	if s.tr.enabled() {
-		iterStart = s.tr.now()
+	s.iter++
+	var round telemetry.Span
+	if s.root.Active() {
+		round = s.root.Child("r" + strconv.Itoa(s.iter))
 	}
-	if err := s.runMajorIteration(ctx); err != nil {
+	if err := s.runMajorIteration(ctx, round); err != nil {
 		s.traceEnd(err)
 		return false, err
 	}
@@ -367,22 +362,13 @@ func (s *Session) StepContext(ctx context.Context) (done bool, err error) {
 	if s.prevTop != nil {
 		overlap = stats.Overlap(s.prevTop, top)
 	}
-	if s.tr.enabled() {
-		e := telemetry.Event{
-			Time:       iterStart,
-			Type:       telemetry.EventIteration,
-			Major:      s.iter,
-			DurationMS: s.tr.since(iterStart),
-			N:          s.data.N(),
-			Dim:        s.data.Dim(),
-			Span:       roundSpanID(s.iter),
-			Parent:     rootSpan,
-		}
-		if overlap >= 0 {
-			e.Overlap = overlap
-		}
-		s.tr.emit(e)
-	}
+	round.End(telemetry.Event{
+		Type:    telemetry.EventIteration,
+		Major:   s.iter,
+		N:       s.data.N(),
+		Dim:     s.data.Dim(),
+		Overlap: max(overlap, 0),
+	})
 	if s.iter >= s.cfg.MinMajorIterations && s.prevTop != nil &&
 		overlap >= s.cfg.OverlapThreshold {
 		s.converged = true
@@ -399,48 +385,43 @@ func (s *Session) StepContext(ctx context.Context) (done bool, err error) {
 	return false, nil
 }
 
-// traceStart emits the session_start event exactly once, on the first
-// iteration actually driven.
+// traceStart opens the session span with its session_start annotation
+// exactly once, on the first iteration actually driven.
 func (s *Session) traceStart() {
-	if !s.tr.enabled() || s.traceStarted {
+	if s.cfg.Tracer == nil || s.root.Active() {
 		return
 	}
-	s.traceStarted = true
-	s.traceBegan = s.tr.now()
-	s.tr.emit(telemetry.Event{
+	s.root = telemetry.StartSpan(s.cfg.Tracer, "s", "")
+	s.root.Annotate(telemetry.Event{
 		Type:    telemetry.EventSessionStart,
 		N:       s.data.N(),
 		Dim:     s.data.Dim(),
 		Workers: s.cfg.Workers,
 		Shards:  s.cfg.Shards,
 		Family:  s.cfg.Mode.traceName(),
-		Parent:  rootSpan,
 	})
 }
 
-// traceEnd emits the session_end event exactly once; err non-nil marks an
-// aborted session. A session whose tracer never saw session_start (e.g.
-// canceled before the first step) emits nothing.
+// traceEnd ends the session span with its session_end event exactly once;
+// err non-nil marks an aborted session. A session whose span never opened
+// (untraced, or canceled before the first step) emits nothing.
 func (s *Session) traceEnd(err error) {
-	if !s.tr.enabled() || !s.traceStarted || s.traceEnded {
+	if !s.root.Active() || s.rootEnded {
 		return
 	}
-	s.traceEnded = true
+	s.rootEnded = true
 	e := telemetry.Event{
-		Time:          s.traceBegan, // span ends are back-stamped to their start
 		Type:          telemetry.EventSessionEnd,
-		DurationMS:    s.tr.since(s.traceBegan),
 		Iterations:    s.iter,
 		Converged:     s.converged,
 		ViewsShown:    s.viewsShown,
 		ViewsAnswered: s.viewsAnswered,
 		N:             s.data.N(),
-		Span:          rootSpan,
 	}
 	if err != nil {
 		e.Err = err.Error()
 	}
-	s.tr.emit(e)
+	s.root.End(e)
 }
 
 // traceName renders the projection mode for the session_start event.
@@ -463,11 +444,10 @@ func (s *Session) Result() *Result {
 	return s.finish(s.converged)
 }
 
-// runMajorIteration performs one sweep of ⌊d/2⌋ mutually orthogonal
-// projections, quantifies the user's coherence, and removes never-picked
-// points.
-func (s *Session) runMajorIteration(ctx context.Context) error {
-	s.iter++
+// runMajorIteration performs major iteration s.iter under its round span:
+// one sweep of ⌊d/2⌋ mutually orthogonal projections, the quantification
+// of the user's coherence, and the removal of never-picked points.
+func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) error {
 	d := s.data.Dim()
 	n := s.data.N()
 
@@ -489,10 +469,6 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 	if s.gen != nil {
 		s.gen.major = s.iter
 	}
-	round := ""
-	if s.tr.enabled() {
-		round = roundSpanID(s.iter)
-	}
 	// Every frame of the sweep holds the same rows in the same order (a
 	// composed frame delegates ID to its base), so one ID slice serves all
 	// of the sweep's profiles.
@@ -505,7 +481,7 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		profile, decision, err := s.presentView(ctx, dc, qc, ids, psearch, minor, round)
+		profile, decision, view, err := s.presentView(ctx, dc, qc, ids, psearch, minor, round)
 		if err != nil {
 			return fmt.Errorf("core: major %d minor %d: %w", s.iter, minor, err)
 		}
@@ -516,22 +492,14 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 		if !decision.Skip {
 			s.viewsAnswered++
 			var positions []int
-			var selStart time.Time
-			if s.tr.enabled() {
-				selStart = s.tr.now()
-			}
+			// The select span, like the wait span, nests under the
+			// answered view's path but is parented to the round.
+			sel := round.Child(view + "/select")
+			e := telemetry.Event{Type: telemetry.EventSelect, Major: s.iter, Minor: minor}
 			if len(decision.Lines) > 0 {
 				positions, err = profile.SelectLines(decision.Lines)
 				if err != nil {
 					return fmt.Errorf("core: polygonal selection: %w", err)
-				}
-				if s.tr.enabled() {
-					s.tr.emit(telemetry.Event{
-						Time: selStart,
-						Type: telemetry.EventSelect, Major: s.iter, Minor: minor,
-						DurationMS: s.tr.since(selStart), Picked: len(positions),
-						Span: s.lastViewSpan + "/select", Parent: round,
-					})
 				}
 			} else {
 				var reg *grid.Region
@@ -539,16 +507,10 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 				if err != nil {
 					return fmt.Errorf("core: select at τ=%v: %w", decision.Tau, err)
 				}
-				if s.tr.enabled() {
-					s.tr.emit(telemetry.Event{
-						Time: selStart,
-						Type: telemetry.EventSelect, Major: s.iter, Minor: minor,
-						DurationMS: s.tr.since(selStart), Tau: decision.Tau,
-						Cells: reg.Cells, Examined: reg.Examined, Picked: len(positions),
-						Span: s.lastViewSpan + "/select", Parent: round,
-					})
-				}
+				e.Tau, e.Cells, e.Examined = decision.Tau, reg.Cells, reg.Examined
 			}
+			e.Picked = len(positions)
+			sel.End(e)
 			w := decision.Weight
 			if w == 0 {
 				w = 1
@@ -626,15 +588,12 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 			dropped = n - len(keep)
 		}
 	}
-	if s.tr.enabled() {
-		s.tr.emit(telemetry.Event{
-			Type:    telemetry.EventPointsDropped,
-			Major:   s.iter,
-			Dropped: dropped,
-			N:       s.data.N(),
-			Parent:  round,
-		})
-	}
+	round.Annotate(telemetry.Event{
+		Type:    telemetry.EventPointsDropped,
+		Major:   s.iter,
+		Dropped: dropped,
+		N:       s.data.N(),
+	})
 	return nil
 }
 
@@ -652,7 +611,10 @@ func (s *Session) runMajorIteration(ctx context.Context) error {
 // tightness-style statistic is optimistically biased toward the more
 // expressive arbitrary family — and judging views is exactly what the
 // paper keeps the human for.
-func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.Vector, ids []int, psearch ProjectionSearch, minor int, round string) (*VisualProfile, Decision, error) {
+//
+// view is the shown view's span leaf under round ("v{minor}.{family}",
+// "" when untraced), which the caller's select span nests under.
+func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.Vector, ids []int, psearch ProjectionSearch, minor int, round telemetry.Span) (_ *VisualProfile, _ Decision, view string, _ error) {
 	if s.gen != nil {
 		s.gen.minor = minor
 	}
@@ -672,7 +634,7 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 		profile  *VisualProfile
 		decision Decision
 		axis     bool
-		span     string // the view's span ID ("" when untraced)
+		view     string // the view's span leaf ("" when untraced)
 	}
 	var cands []candidate
 	// The view's one full-space neighbour ranking: the first halving
@@ -687,25 +649,26 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 		if axis {
 			family = "axis"
 		}
-		var t0 time.Time
-		var view string
-		if s.tr.enabled() {
-			t0 = s.tr.now()
-			view = viewSpanID(round, minor, family)
-			// The stage trace lets findProjectionDim emit one
-			// projection_stage event per halving stage with this view's
-			// iteration coordinates stamped on; the stage trace's span and
-			// the coordinator/candidate-generator parents nest every
-			// downstream event under this view's /proj span until the
-			// profile build re-parents them under /kde.
-			psearch.trace = &stageTrace{tr: s.tr, major: s.iter, minor: minor, family: family, span: view + "/proj"}
-			s.setStageSpan(view + "/proj")
+		var leaf string
+		if round.Active() {
+			leaf = "v" + strconv.Itoa(minor) + "." + family
+		}
+		viewSpan := round.Child(leaf)
+		projSpan := viewSpan.Child("proj")
+		if projSpan.Active() {
+			// The stage trace lets findProjectionDim open one /d{dim}
+			// span per halving stage under /proj with this view's
+			// iteration coordinates stamped on; linking the coordinator
+			// and candidate generator nests every downstream event under
+			// /proj until the profile build re-links them under /kde.
+			psearch.trace = &stageTrace{proj: projSpan, major: s.iter, minor: minor, family: family}
+			linkStage(s.coord, s.gen, projSpan)
 		}
 		if ranking == nil {
 			var err error
 			ranking, err = nearestPositions(ctx, s.coord, dc, qc, linalg.FullSpace(dc.Dim()), psearch.stageSupport(dc.Dim()), &s.scratch, s.gen)
 			if err != nil {
-				return nil, Decision{}, err
+				return nil, Decision{}, "", err
 			}
 		}
 		proj, err := findProjectionDim(ctx, dc, qc, psearch, 2, &s.scratch, ranking)
@@ -713,52 +676,39 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 			if len(families) > 1 && ctx.Err() == nil {
 				continue // the other family may still work
 			}
-			return nil, Decision{}, err
+			return nil, Decision{}, "", err
 		}
-		var t1 time.Time
-		if s.tr.enabled() {
-			t1 = s.tr.now()
-			s.tr.emit(telemetry.Event{
-				Time: t0,
-				Type: telemetry.EventProjection, Major: s.iter, Minor: minor,
-				Family: family, Dim: dc.Dim(), N: dc.N(),
-				DurationMS: float64(t1.Sub(t0)) / float64(time.Millisecond),
-				Span:       view + "/proj", Parent: view,
-			})
-			s.setStageSpan(view + "/kde")
-		}
+		projSpan.End(telemetry.Event{
+			Type: telemetry.EventProjection, Major: s.iter, Minor: minor,
+			Family: family, Dim: dc.Dim(), N: dc.N(),
+		})
+		kdeSpan := viewSpan.Child("kde")
+		linkStage(s.coord, s.gen, kdeSpan)
 		profile, err := buildProfile(ctx, dc, qc, proj, ranking[:psearch.Support], kde.Options{
 			GridSize:       s.cfg.GridSize,
 			BandwidthScale: s.cfg.BandwidthScale,
 			Workers:        s.cfg.Workers,
-			Clock:          s.tr.clock(),
 		}, s.coord)
 		if err != nil {
-			return nil, Decision{}, err
+			return nil, Decision{}, "", err
 		}
 		profile.Major = s.iter
 		profile.Minor = minor
 		profile.IDs = ids
 		profile.OriginalN = s.originalN
-		var t2 time.Time
-		if s.tr.enabled() {
-			t2 = s.tr.now()
-			s.tr.emit(telemetry.Event{
-				Time: t1,
-				Type: telemetry.EventKDEBuild, Major: s.iter, Minor: minor,
-				GridSize: profile.Grid.P, N: dc.N(),
-				DurationMS: float64(t2.Sub(t1)) / float64(time.Millisecond),
-				KDEBuildMS: float64(profile.Grid.BuildTime) / float64(time.Millisecond),
-				Span:       view + "/kde", Parent: view,
-			})
-			s.tr.emit(telemetry.Event{
-				Time: t0,
-				Type: telemetry.EventView, Major: s.iter, Minor: minor,
-				Family: family, N: dc.N(), Dim: dc.Dim(),
-				DurationMS: float64(t2.Sub(t0)) / float64(time.Millisecond),
-				Span:       view, Parent: round,
-			})
-		}
+		kdeSpan.End(telemetry.Event{
+			Type: telemetry.EventKDEBuild, Major: s.iter, Minor: minor,
+			GridSize: profile.Grid.P, N: dc.N(),
+		})
+		viewSpan.End(telemetry.Event{
+			Type: telemetry.EventView, Major: s.iter, Minor: minor,
+			Family: family, N: dc.N(), Dim: dc.Dim(),
+		})
+		// The wait span nests under the view's path but is a sibling of
+		// the view under the round: its duration is user think time, not
+		// view construction, and keeping it out of the view span keeps the
+		// critical path's compute/wait split honest.
+		wait := round.Child(leaf + "/wait")
 		decision := s.user.SeparateCluster(profile, func(tau float64) *grid.Region {
 			reg, err := profile.Region(tau)
 			if err != nil {
@@ -766,23 +716,14 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 			}
 			return reg
 		})
-		if s.tr.enabled() {
-			// The wait span is a sibling of the view under the round: its
-			// duration is user think time, not view construction, and
-			// keeping it out of the view span keeps the critical path's
-			// compute/wait split honest.
-			s.tr.emit(telemetry.Event{
-				Time: t2,
-				Type: telemetry.EventDecisionWait, Major: s.iter, Minor: minor,
-				Family: family, Skipped: decision.Skip,
-				DurationMS: s.tr.since(t2),
-				Span:       view + "/wait", Parent: round,
-			})
-		}
-		cands = append(cands, candidate{profile, decision, axis, view})
+		wait.End(telemetry.Event{
+			Type: telemetry.EventDecisionWait, Major: s.iter, Minor: minor,
+			Family: family, Skipped: decision.Skip,
+		})
+		cands = append(cands, candidate{profile, decision, axis, leaf})
 	}
 	if len(cands) == 0 {
-		return nil, Decision{}, fmt.Errorf("core: no projection family usable")
+		return nil, Decision{}, "", fmt.Errorf("core: no projection family usable")
 	}
 	// Contest refereeing (only ever more than one candidate in ModeAuto's
 	// first minor iteration): an answered view beats a skipped one;
@@ -806,17 +747,19 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 			s.autoChoice = ModeArbitrary
 		}
 	}
-	s.lastViewSpan = cands[best].span
-	return cands[best].profile, cands[best].decision, nil
+	return cands[best].profile, cands[best].decision, cands[best].view, nil
 }
 
-// setStageSpan re-parents the coordinator's scatters and the candidate
-// generator's events under the given stage span. Only called while
-// tracing; the untraced session never builds span strings.
-func (s *Session) setStageSpan(span string) {
-	s.coord.SetSpan(span)
-	if s.gen != nil {
-		s.gen.span = span
+// linkStage re-parents the coordinator's scatters and the candidate
+// generator's events under the stage span sp. A no-op for an inert span,
+// so an untraced session never links anything.
+func linkStage(coord *shard.Coordinator, gen *candGen, sp telemetry.Span) {
+	if !sp.Active() {
+		return
+	}
+	coord.SetSpan(sp.ID())
+	if gen != nil {
+		gen.span = sp.ID()
 	}
 }
 

@@ -122,10 +122,11 @@ func TestTraceEventTaxonomy(t *testing.T) {
 	if end.DurationMS <= 0 {
 		t.Errorf("session_end duration %v, want > 0 under a step clock", end.DurationMS)
 	}
-	// KDE build timing must flow through from the injected clock.
+	// The kde_build span must time the profile build on the injected
+	// clock.
 	for _, e := range col.Events() {
-		if e.Type == telemetry.EventKDEBuild && e.KDEBuildMS <= 0 {
-			t.Errorf("kde_build event with no grid build time: %+v", e)
+		if e.Type == telemetry.EventKDEBuild && e.DurationMS <= 0 {
+			t.Errorf("kde_build event with no build time: %+v", e)
 		}
 	}
 	// Every projection decomposes into at least one halving stage (the

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"innsearch/internal/linalg"
-	"innsearch/internal/stats"
 )
 
 // ErrBadInput flags invalid estimation inputs (no points, wrong shape,
@@ -25,6 +23,10 @@ var ErrBadInput = errors.New("kde: bad input")
 
 // MinGridSize is the smallest usable density grid resolution.
 const MinGridSize = 4
+
+// marginBandwidths is how many bandwidths the grid's bounding box
+// extends beyond the data extent on every side.
+const marginBandwidths = 3
 
 // MaxGridSize is the largest accepted density grid resolution. A p×p
 // lattice holds p² float64s, so the bound caps one grid at 8 MiB; the
@@ -36,29 +38,25 @@ const MaxGridSize = 1024
 // sample — zero standard deviation, or all values equal while a rounded
 // mean leaves a tiny σ > 0 — yields a small positive fallback
 // proportional to max(|x|, 1) so downstream density evaluation stays
-// finite.
+// finite. It runs the 2-D estimate's extent and spread passes over xs
+// and finishes through the same silvermanFromSpread, so it equals
+// Estimate2D's Hx over the same x column bit for bit.
 func SilvermanBandwidth(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("%w: empty sample", ErrBadInput)
 	}
-	sd, err := stats.StdDev(xs)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(len(xs))
-	constant := true
-	for _, x := range xs {
-		constant = constant && x == xs[0]
-	}
-	if sd > 0 && !constant {
-		return 1.06 * sd * math.Pow(n, -0.2), nil
-	}
-	scale := math.Abs(xs[0])
-	if scale < 1 {
-		scale = 1
-	}
-	return 1e-3 * scale, nil
+	col := column(xs)
+	ext := collectExtent(col, 0, len(xs))
+	mx, _ := ext.mean()
+	spr := collectSpread(col, 0, len(xs), mx, 0)
+	return silvermanFromSpread(spr.SqX, ext.N, ext.X0, ext.MinX == ext.MaxX), nil
 }
+
+// column adapts a 1-D sample to XYSource along x (y is 0).
+type column []float64
+
+func (c column) Len() int                    { return len(c) }
+func (c column) XY(i int) (float64, float64) { return c[i], 0 }
 
 // Grid is a p×p lattice of density values over an axis-aligned rectangle
 // of a 2-D projection. Index (ix, iy) maps to the point
@@ -72,10 +70,6 @@ type Grid struct {
 	// Binned reports which estimator produced the grid (the fast
 	// linear-binned path or the exact reference).
 	Binned bool
-	// BuildTime is the wall time of the density evaluation, measured
-	// against Options.Clock. Zero when no clock was configured — timing is
-	// opt-in so untraced sessions pay no clock reads.
-	BuildTime time.Duration
 }
 
 // StepX returns the grid spacing along x.
@@ -168,9 +162,6 @@ type Options struct {
 	// Exact forces the O(N·p²) reference estimator instead of the
 	// linear-binned fast path.
 	Exact bool
-	// MarginBandwidths widens the grid bounding box by this many
-	// bandwidths beyond the data extent (default 3).
-	MarginBandwidths float64
 	// BandwidthScale multiplies the Silverman bandwidths; 1 when zero.
 	// Values > 1 oversmooth, < 1 undersmooth (used by the ablations).
 	BandwidthScale float64
@@ -179,11 +170,6 @@ type Options struct {
 	// and every row is computed exactly as in the serial path, so the
 	// estimate is bit-identical at any worker count.
 	Workers int
-	// Clock, when non-nil, is read once before and once after the density
-	// evaluation and the difference recorded as Grid.BuildTime — the KDE
-	// grid-build timing of the telemetry layer. Tests inject deterministic
-	// clocks here; nil (the default) skips timing entirely.
-	Clock func() time.Time
 }
 
 func (o Options) normalized() (Options, error) {
@@ -195,12 +181,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.GridSize > MaxGridSize {
 		return o, fmt.Errorf("%w: grid size %d > %d", ErrBadInput, o.GridSize, MaxGridSize)
-	}
-	if o.MarginBandwidths == 0 {
-		o.MarginBandwidths = 3
-	}
-	if o.MarginBandwidths < 0 {
-		return o, fmt.Errorf("%w: negative margin", ErrBadInput)
 	}
 	if o.BandwidthScale == 0 {
 		o.BandwidthScale = 1

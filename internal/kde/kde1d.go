@@ -52,7 +52,8 @@ func (g *Grid1D) InterpAt(x float64) float64 {
 
 // Estimate1D computes the Gaussian kernel density of xs on a regular grid
 // of p points with the Silverman bandwidth (scaled by bandwidthScale; 0
-// means 1). The grid spans the data range extended by three bandwidths.
+// means 1). The grid spans the data range extended by marginBandwidths
+// bandwidths.
 func Estimate1D(xs []float64, p int, bandwidthScale float64) (*Grid1D, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("%w: no points", ErrBadInput)
@@ -77,7 +78,7 @@ func Estimate1D(xs []float64, p int, bandwidthScale float64) (*Grid1D, error) {
 	}
 	h *= bandwidthScale
 	lo, hi, _ := stats.MinMax(xs)
-	g := &Grid1D{P: p, Min: lo - 3*h, Max: hi + 3*h, H: h, N: len(xs)}
+	g := &Grid1D{P: p, Min: lo - marginBandwidths*h, Max: hi + marginBandwidths*h, H: h, N: len(xs)}
 	if g.Max == g.Min {
 		g.Min -= 0.5
 		g.Max += 0.5

@@ -54,8 +54,52 @@ func TestSilvermanBandwidthDegenerate(t *testing.T) {
 	}
 }
 
+// TestSilvermanMatchesEstimate2D pins the one Silverman rule: the 1-D
+// bandwidth and the 2-D composition's Hx over the same column agree bit
+// for bit, constant and near-constant samples included.
+func TestSilvermanMatchesEstimate2D(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(40)
+		scale := math.Pow(10, float64(r.Intn(41)-20))
+		m := linalg.NewMatrix(n, 2)
+		xs := make([]float64, n)
+		for i := range xs {
+			switch trial % 4 {
+			case 0: // Gaussian
+				xs[i] = r.NormFloat64() * scale
+			case 1: // constant
+				xs[i] = 0.1 * scale
+			case 2: // two distinct values
+				xs[i] = scale * float64(1+r.Intn(2))
+			default: // offset far from zero
+				xs[i] = 1e6*scale + r.Float64()*scale
+			}
+			m.Set(i, 0, xs[i])
+			m.Set(i, 1, float64(i))
+		}
+		h, err := SilvermanBandwidth(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Estimate2D(m, Options{GridSize: MinGridSize})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if math.Float64bits(h) != math.Float64bits(g.Hx) {
+			t.Fatalf("trial %d (n=%d): SilvermanBandwidth %v, Estimate2D Hx %v", trial, n, h, g.Hx)
+		}
+	}
+}
+
 func TestEstimate2DErrors(t *testing.T) {
 	pts := gaussianPoints(t, 50, 0, 0, 1, 2)
+	// Finite points whose squared spread overflows: Hx = +Inf.
+	huge := linalg.NewMatrix(4, 2)
+	for i, v := range []float64{1e200, -1e200, 1e200, -1e200} {
+		huge.Set(i, 0, v)
+		huge.Set(i, 1, float64(i))
+	}
 	cases := []struct {
 		name string
 		pts  *linalg.Matrix
@@ -65,8 +109,11 @@ func TestEstimate2DErrors(t *testing.T) {
 		{"no points", linalg.NewMatrix(0, 2), Options{}},
 		{"tiny grid", pts, Options{GridSize: 2}},
 		{"huge grid", pts, Options{GridSize: MaxGridSize + 1}},
-		{"negative margin", pts, Options{MarginBandwidths: -1}},
 		{"negative scale", pts, Options{BandwidthScale: -2}},
+		{"spread overflows", huge, Options{}},
+		{"spread overflows exact", huge, Options{Exact: true}},
+		{"bounds overflow", pts, Options{BandwidthScale: 1e308}},
+		{"bandwidth underflows", pts, Options{BandwidthScale: 1e-320}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +178,7 @@ func TestExactVsBinnedAgree(t *testing.T) {
 
 func TestDensityIntegratesToOne(t *testing.T) {
 	pts := gaussianPoints(t, 500, 3, 3, 1.5, 6)
-	g, err := Estimate2D(pts, Options{GridSize: 80, MarginBandwidths: 6})
+	g, err := Estimate2D(pts, Options{GridSize: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

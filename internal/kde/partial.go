@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"innsearch/internal/parallel"
 )
@@ -71,10 +70,9 @@ func Estimate2DScatter(ctx context.Context, sc parallel.Scatter, points XYSource
 	if err != nil {
 		return nil, err
 	}
-	g := planGrid(ext, mergeSpreads(sprs), opts)
-	var start time.Time
-	if opts.Clock != nil {
-		start = opts.Clock()
+	g, err := planGrid(ext, mergeSpreads(sprs), opts)
+	if err != nil {
+		return nil, err
 	}
 	parts := make([][]float64, k)
 	err = sc.Run(ctx, "kde/lattice", n, func(ctx context.Context, w, lo, hi, workers int) error {
@@ -105,8 +103,10 @@ func Estimate2DScatter(ctx context.Context, sc parallel.Scatter, points XYSource
 	} else {
 		finishExact(g, lattice)
 	}
-	if opts.Clock != nil {
-		g.BuildTime = opts.Clock().Sub(start)
+	for i, d := range g.Density {
+		if !isFinite(d) {
+			return nil, fmt.Errorf("%w: density %v at node %d (bandwidths %g, %g)", ErrBadInput, d, i, g.Hx, g.Hy)
+		}
 	}
 	return g, nil
 }
@@ -141,7 +141,7 @@ func collectExtent(points XYSource, lo, hi int) extent {
 	e := extent{BadRow: -1}
 	for i := lo; i < hi; i++ {
 		x, y := points.XY(i)
-		if e.BadRow < 0 && (math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0)) {
+		if e.BadRow < 0 && !(isFinite(x) && isFinite(y)) {
 			e.BadRow = i
 		}
 		if e.N == 0 {
@@ -260,16 +260,19 @@ func silvermanFromSpread(sq float64, n int, first float64, constant bool) float6
 // the grid the lattice pass scatters into: Silverman bandwidths
 // (× BandwidthScale), margin-widened bounds with the degenerate-extent
 // fallback, resolution, and a zeroed density lattice. opts must be
-// normalized.
-func planGrid(ext extent, spr spread, opts Options) *Grid {
+// normalized. Finite points can still overflow the geometry — a squared
+// spread beyond the float range, or bounds a huge BandwidthScale pushes
+// past it — and a tiny BandwidthScale can underflow a bandwidth to zero;
+// such inputs fail with ErrBadInput rather than yield a NaN lattice.
+func planGrid(ext extent, spr spread, opts Options) (*Grid, error) {
 	hx := silvermanFromSpread(spr.SqX, ext.N, ext.X0, ext.MinX == ext.MaxX) * opts.BandwidthScale
 	hy := silvermanFromSpread(spr.SqY, ext.N, ext.Y0, ext.MinY == ext.MaxY) * opts.BandwidthScale
 	g := &Grid{
 		P:    opts.GridSize,
-		MinX: ext.MinX - opts.MarginBandwidths*hx,
-		MaxX: ext.MaxX + opts.MarginBandwidths*hx,
-		MinY: ext.MinY - opts.MarginBandwidths*hy,
-		MaxY: ext.MaxY + opts.MarginBandwidths*hy,
+		MinX: ext.MinX - marginBandwidths*hx,
+		MaxX: ext.MaxX + marginBandwidths*hx,
+		MinY: ext.MinY - marginBandwidths*hy,
+		MaxY: ext.MaxY + marginBandwidths*hy,
 		Hx:   hx, Hy: hy, N: ext.N,
 	}
 	if g.MaxX == g.MinX {
@@ -280,10 +283,19 @@ func planGrid(ext extent, spr spread, opts Options) *Grid {
 		g.MinY -= 0.5
 		g.MaxY += 0.5
 	}
+	for _, v := range []float64{g.Hx, g.Hy, g.StepX(), g.StepY()} {
+		if !isFinite(v) || v <= 0 {
+			return nil, fmt.Errorf("%w: grid geometry not representable (bandwidths %g, %g; steps %g, %g)",
+				ErrBadInput, g.Hx, g.Hy, g.StepX(), g.StepY())
+		}
+	}
 	g.Density = make([]float64, g.P*g.P)
 	g.Binned = !opts.Exact
-	return g
+	return g, nil
 }
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // binnedPartial scatters rows [lo, hi) onto a fresh weight lattice with
 // bilinear cloud-in-cell weights — the binned estimator's serial scatter

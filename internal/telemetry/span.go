@@ -11,8 +11,9 @@ import "time"
 //
 // Span IDs are not random: producers derive them from structural
 // position (session → round → view → stage → shard), so the same seed
-// yields the same tree at any worker count. The ID grammar is documented
-// in DESIGN.md ("Causal tracing").
+// yields the same tree at any worker count. Child and ChildEnd own the
+// "parent/leaf" join; the ID grammar is documented in DESIGN.md ("Causal
+// tracing").
 type Span struct {
 	tr     Tracer
 	id     string
@@ -40,6 +41,19 @@ func (s Span) ID() string { return s.id }
 // StartTime returns the clock reading taken when the span was started.
 func (s Span) StartTime() time.Time { return s.start }
 
+// Child opens the span ID/leaf under s, reading its start time from the
+// tracer's clock. An inert s yields an inert child without building the
+// ID or touching any clock.
+func (s Span) Child(leaf string) Span {
+	if s.tr == nil {
+		return Span{}
+	}
+	return StartSpan(s.tr, s.path(leaf), s.id)
+}
+
+// path joins leaf onto the span's ID.
+func (s Span) path(leaf string) string { return s.id + "/" + leaf }
+
 // Annotate emits e as an annotation inside the span: Parent is set to
 // the span's ID and Span is left empty, so readers see an event that
 // belongs to the span without ending it. No-op when inert.
@@ -59,7 +73,7 @@ func (s Span) ChildEnd(suffix string, e Event) {
 	if s.tr == nil {
 		return
 	}
-	e.Span = s.id + "/" + suffix
+	e.Span = s.path(suffix)
 	e.Parent = s.id
 	s.tr.Emit(e)
 }

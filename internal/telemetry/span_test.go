@@ -57,6 +57,29 @@ func TestSpanEndKeepsCallerDuration(t *testing.T) {
 	}
 }
 
+func TestSpanChild(t *testing.T) {
+	c := NewCollectorClock(StepClock(time.Unix(0, 0).UTC(), time.Millisecond))
+	round := StartSpan(c, "s/r2", "s")
+	view := round.Child("v1.axis")
+	if view.ID() != "s/r2/v1.axis" {
+		t.Fatalf("child ID = %q, want s/r2/v1.axis", view.ID())
+	}
+	// A multi-segment leaf nests the ID under a sibling's path while the
+	// span stays parented to the receiver.
+	round.Child("v1.axis/wait").End(Event{Type: EventDecisionWait})
+	view.End(Event{Type: EventView})
+	ev := c.Events()
+	if ev[0].Span != "s/r2/v1.axis/wait" || ev[0].Parent != "s/r2" {
+		t.Fatalf("wait span/parent = %q/%q, want s/r2/v1.axis/wait under s/r2", ev[0].Span, ev[0].Parent)
+	}
+	if ev[1].Span != "s/r2/v1.axis" || ev[1].Parent != "s/r2" || !ev[1].Time.Equal(view.StartTime()) {
+		t.Fatalf("view end = %+v, want s/r2/v1.axis under s/r2 back-stamped to %v", ev[1], view.StartTime())
+	}
+	if inert := (Span{}).Child("x"); inert.Active() || inert.ID() != "" {
+		t.Fatalf("child of an inert span = %+v, want inert", inert)
+	}
+}
+
 // TestSpanInertZeroAlloc pins the zero-cost-when-off contract: a span
 // started against a nil tracer must not allocate or emit through its
 // whole lifecycle. This is the span-layer counterpart of the
@@ -67,6 +90,7 @@ func TestSpanInertZeroAlloc(t *testing.T) {
 		if sp.Active() {
 			t.Fatal("nil-tracer span should be inert")
 		}
+		sp.Child("v1.axis").End(Event{Type: EventView})
 		sp.Annotate(Event{Type: EventShardScatter, Stage: "nearest"})
 		sp.ChildEnd("sh0", Event{Type: EventShardGather, Shard: 0, DurationMS: 1})
 		sp.End(Event{Type: EventSpan, Stage: "nearest"})

@@ -49,8 +49,8 @@ const (
 	// projection event therefore decomposes into its projection_stage
 	// events, which is what localizes regressions to a stage depth.
 	EventProjectionStage EventType = "projection_stage"
-	// EventKDEBuild times one kernel-density grid build (the profile
-	// construction around it; the pure grid time is in KDEBuildMS).
+	// EventKDEBuild times one density-profile build: projecting the data,
+	// the kernel-density grid, and the query's position in it.
 	EventKDEBuild EventType = "kde_build"
 	// EventView times the full construction of one visual profile —
 	// projection search plus density estimate — i.e. the latency of one
@@ -120,10 +120,6 @@ type Event struct {
 	Minor int `json:"minor,omitempty"`
 	// DurationMS is the event's measured wall time in milliseconds.
 	DurationMS float64 `json:"duration_ms,omitempty"`
-	// KDEBuildMS is the pure density-grid build time inside a kde_build
-	// event (DurationMS additionally covers projection of the data and
-	// the discrimination scan).
-	KDEBuildMS float64 `json:"kde_build_ms,omitempty"`
 	// N and Dim describe the data in play when the event fired.
 	N   int `json:"n,omitempty"`
 	Dim int `json:"dim,omitempty"`

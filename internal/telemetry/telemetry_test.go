@@ -44,7 +44,7 @@ func TestJSONLOmitsEmptyFields(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, absent := range []string{"session", "tau", "picked", "error", "family", "kde_build_ms"} {
+	for _, absent := range []string{"session", "tau", "picked", "error", "family"} {
 		if _, ok := raw[absent]; ok {
 			t.Errorf("field %q present in %s", absent, buf.String())
 		}
