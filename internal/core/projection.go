@@ -58,9 +58,12 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // through the coordinator as per-shard top-s partials merged under the
 // strict (dist, pos) order — the member set is exactly the full scan's at
 // any P, because every distance comes from the same kernel, and at P=1
-// the one partial is the full scan (see shard.Coordinator.Nearest). No
-// per-point projection is materialized — each distance reads the view's
-// row in place.
+// the one partial is the full scan (see shard.Coordinator.Nearest). Every
+// distance — full scan and index re-rank alike — comes from
+// linalg.Subspace.ProjDistRows, which projects rows four at a time with
+// the projection kernel's micro-tile and folds each projected coordinate
+// straight into the row's squared distance, so no coordinate block is
+// stored and the bits are ProjDistTo's.
 //
 // When a candidate generator is configured (gen non-nil) and the scan is
 // a full-space one (sub.Identity(), where projected distance IS plain L2
@@ -106,9 +109,9 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 		}
 		if len(idxCands) >= s {
 			cands := scr.candBuf(len(idxCands))
-			for i, c := range idxCands {
-				cands[i] = shard.Cand{Pos: c.Pos, Dist: sub.ProjDistTo(qp, v.Point(c.Pos))}
-			}
+			sub.ProjDistRows(qp, len(idxCands),
+				func(i int) linalg.Vector { return v.Point(idxCands[i].Pos) },
+				func(i int, dist float64) { cands[i] = shard.Cand{Pos: idxCands[i].Pos, Dist: dist} })
 			shard.SelectNearest(cands, s)
 			return positionsOf(cands[:s]), nil
 		}

@@ -51,6 +51,9 @@ func FuzzDensityFinite(f *testing.F) {
 	f.Add([]byte{1, 0, 10, 0, 20, 0, 30, 0, 5, 0, 7, 1, 7, 1})
 	f.Add([]byte{0, 122, 10, 0, 20, 0, 30, 0, 5, 0})
 	f.Add([]byte{0, 0, 1, 0x81, 1, 0x81, 2, 0x81, 3, 0x81})
+	// BandwidthScale 1e200 (byte 1 = 80): finite bounds, but the density
+	// normalization underflows to 0.
+	f.Add([]byte{0, 80, 10, 0, 20, 0, 30, 0, 5, 0, 7, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, opts := fuzzDensityInput(data)
 		var grids [2]*Grid

@@ -114,6 +114,10 @@ func TestEstimate2DErrors(t *testing.T) {
 		{"spread overflows exact", huge, Options{Exact: true}},
 		{"bounds overflow", pts, Options{BandwidthScale: 1e308}},
 		{"bandwidth underflows", pts, Options{BandwidthScale: 1e-320}},
+		// Finite geometry, but 1/(N·2π·Hx·Hy) underflows to 0: every
+		// density would finish to 0.
+		{"normalization underflows", pts, Options{BandwidthScale: 1e200}},
+		{"normalization underflows exact", pts, Options{BandwidthScale: 1e200, Exact: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -263,7 +263,11 @@ func silvermanFromSpread(sq float64, n int, first float64, constant bool) float6
 // normalized. Finite points can still overflow the geometry — a squared
 // spread beyond the float range, or bounds a huge BandwidthScale pushes
 // past it — and a tiny BandwidthScale can underflow a bandwidth to zero;
-// such inputs fail with ErrBadInput rather than yield a NaN lattice.
+// such inputs fail with ErrBadInput rather than yield a NaN lattice. So
+// does a normalization constant 1/(N·2π·Hx·Hy) that is not a finite
+// positive number: bandwidths beyond about 1e154 underflow it to zero,
+// which would finish every density to 0 — a lattice no separator can
+// select from.
 func planGrid(ext extent, spr spread, opts Options) (*Grid, error) {
 	hx := silvermanFromSpread(spr.SqX, ext.N, ext.X0, ext.MinX == ext.MaxX) * opts.BandwidthScale
 	hy := silvermanFromSpread(spr.SqY, ext.N, ext.Y0, ext.MinY == ext.MaxY) * opts.BandwidthScale
@@ -289,9 +293,21 @@ func planGrid(ext extent, spr spread, opts Options) (*Grid, error) {
 				ErrBadInput, g.Hx, g.Hy, g.StepX(), g.StepY())
 		}
 	}
+	invN, cx, cy := g.normalization()
+	if norm := invN * cx * cy; !isFinite(norm) || norm <= 0 {
+		return nil, fmt.Errorf("%w: density normalization %g not representable (bandwidths %g, %g)",
+			ErrBadInput, norm, g.Hx, g.Hy)
+	}
 	g.Density = make([]float64, g.P*g.P)
 	g.Binned = !opts.Exact
 	return g, nil
+}
+
+// normalization returns the factors of the Gaussian product kernel's
+// normalization 1/(N·2π·Hx·Hy) as the finishes apply them: 1/N and the
+// per-axis 1/(√(2π)·h).
+func (g *Grid) normalization() (invN, cx, cy float64) {
+	return 1 / float64(g.N), 1 / (math.Sqrt(2*math.Pi) * g.Hx), 1 / (math.Sqrt(2*math.Pi) * g.Hy)
 }
 
 // isFinite reports whether v is neither NaN nor ±Inf.
@@ -402,9 +418,7 @@ func mergeLattices(parts [][]float64) ([]float64, error) {
 // finishExact normalizes a merged exact lattice into g's densities:
 // node sum × (1/N) × cx × cy, the exact estimator's per-node finish.
 func finishExact(g *Grid, lattice []float64) {
-	invN := 1 / float64(g.N)
-	cx := 1 / (math.Sqrt(2*math.Pi) * g.Hx)
-	cy := 1 / (math.Sqrt(2*math.Pi) * g.Hy)
+	invN, cx, cy := g.normalization()
 	for iy := 0; iy < g.P; iy++ {
 		for ix := 0; ix < g.P; ix++ {
 			g.Set(ix, iy, lattice[iy*g.P+ix]*invN*cx*cy)
@@ -435,9 +449,7 @@ func finishBinned(ctx context.Context, g *Grid, weights []float64, workers int) 
 	if err != nil {
 		return err
 	}
-	invN := 1 / float64(g.N)
-	cx := 1 / (math.Sqrt(2*math.Pi) * g.Hx)
-	cy := 1 / (math.Sqrt(2*math.Pi) * g.Hy)
+	invN, cx, cy := g.normalization()
 	for i := range out {
 		out[i] *= invN * cx * cy
 	}

@@ -20,6 +20,10 @@ func BenchmarkSymEigen10(b *testing.B) { benchSymmetric(b, 10) }
 func BenchmarkSymEigen20(b *testing.B) { benchSymmetric(b, 20) }
 func BenchmarkSymEigen50(b *testing.B) { benchSymmetric(b, 50) }
 
+// BenchmarkSymEigen64 is one query-cluster covariance solve at d = 64,
+// the dimensionality of the ModeArbitrary projection search's first stage.
+func BenchmarkSymEigen64(b *testing.B) { benchSymmetric(b, 64) }
+
 func BenchmarkCovariance5000x20(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	m := NewMatrix(5000, 20)

@@ -36,6 +36,16 @@ const (
 // method is unconditionally stable for symmetric input and is accurate to
 // machine precision for the covariance matrices (dimension ≲ a few hundred)
 // this system works with.
+//
+// The solver works on flat row-major slices. The work matrix is kept
+// exactly symmetric, so a rotation (p, q) reads rows p and q — contiguous
+// — where the textbook form reads columns, and writes each updated entry
+// to both its row and its column. The rotation accumulator is kept
+// transposed (row k holds the k-th column of V), so both its update and
+// the eigenvector extraction touch contiguous rows. Every entry goes
+// through the same arithmetic in the same order as the column-oriented
+// form, so the eigenpairs are bit-identical to it (pinned by
+// TestSymEigenGolden).
 func SymEigen(a *Matrix) (*EigenResult, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: shape %dx%d", ErrNotSymmetric, a.Rows, a.Cols)
@@ -49,23 +59,26 @@ func SymEigen(a *Matrix) (*EigenResult, error) {
 		return &EigenResult{}, nil
 	}
 
-	// Work on a copy; accumulate rotations in v.
-	w := a.Clone()
-	// Symmetrize exactly to keep the iteration clean.
+	// Work on a copy; symmetrize it exactly to keep the iteration clean.
+	w := make([]float64, n*n)
+	copy(w, a.Data)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			s := (w.At(i, j) + w.At(j, i)) / 2
-			w.Set(i, j, s)
-			w.Set(j, i, s)
+			s := (w[i*n+j] + w[j*n+i]) / 2
+			w[i*n+j] = s
+			w[j*n+i] = s
 		}
 	}
-	v := Identity(n)
+	// vt accumulates the rotations transposed: vt[k*n+i] = V(i, k).
+	vt := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		vt[i*n+i] = 1
+	}
 
 	off := func() float64 {
 		var s float64
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				x := w.At(i, j)
+			for _, x := range w[i*n+i+1 : i*n+n] {
 				s += 2 * x * x
 			}
 		}
@@ -73,29 +86,31 @@ func SymEigen(a *Matrix) (*EigenResult, error) {
 	}
 
 	frob := 0.0
-	for _, x := range w.Data {
+	for _, x := range w {
 		frob += x * x
 	}
 	tol := jacobiTol * math.Max(frob, 1e-300)
 
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		if off() <= tol {
-			return collectEigen(w, v), nil
+			return collectEigen(w, vt, n), nil
 		}
 		for p := 0; p < n-1; p++ {
+			rp := w[p*n : p*n+n]
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				rq := w[q*n : q*n+n]
+				apq := rp[q]
 				if apq == 0 {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
+				app := rp[p]
+				aqq := rq[q]
 				// Skip rotations that cannot change anything at
 				// machine precision.
 				if math.Abs(apq) <= 1e-300 ||
 					math.Abs(apq) < 1e-16*(math.Abs(app)+math.Abs(aqq)) {
-					w.Set(p, q, 0)
-					w.Set(q, p, 0)
+					rp[q] = 0
+					rq[p] = 0
 					continue
 				}
 				// Compute the Jacobi rotation that annihilates w[p][q].
@@ -110,41 +125,57 @@ func SymEigen(a *Matrix) (*EigenResult, error) {
 				s := t * c
 				tau := s / (1 + c)
 
-				w.Set(p, p, app-t*apq)
-				w.Set(q, q, aqq+t*apq)
-				w.Set(p, q, 0)
-				w.Set(q, p, 0)
-				for i := 0; i < n; i++ {
-					if i == p || i == q {
-						continue
-					}
-					aip := w.At(i, p)
-					aiq := w.At(i, q)
-					w.Set(i, p, aip-s*(aiq+tau*aip))
-					w.Set(p, i, w.At(i, p))
-					w.Set(i, q, aiq+s*(aip-tau*aiq))
-					w.Set(q, i, w.At(i, q))
-				}
-				for i := 0; i < n; i++ {
-					vip := v.At(i, p)
-					viq := v.At(i, q)
-					v.Set(i, p, vip-s*(viq+tau*vip))
-					v.Set(i, q, viq+s*(vip-tau*viq))
+				rp[p] = app - t*apq
+				rq[q] = aqq + t*apq
+				rp[q] = 0
+				rq[p] = 0
+				rotateRows(w, rp, rq, n, 0, p, p, q, s, tau)
+				rotateRows(w, rp, rq, n, p+1, q, p, q, s, tau)
+				rotateRows(w, rp, rq, n, q+1, n, p, q, s, tau)
+				vp := vt[p*n : p*n+n]
+				vq := vt[q*n : q*n+n]
+				vq = vq[:len(vp)]
+				for i, vip := range vp {
+					viq := vq[i]
+					vp[i] = vip - s*(viq+tau*vip)
+					vq[i] = viq + s*(vip-tau*viq)
 				}
 			}
 		}
 	}
 	if off() <= tol*1e3 {
 		// Close enough for covariance work; accept.
-		return collectEigen(w, v), nil
+		return collectEigen(w, vt, n), nil
 	}
 	return nil, ErrNoConvergence
 }
 
-// collectEigen extracts eigenpairs from the (nearly) diagonalized matrix w
-// and the accumulated rotation matrix v, sorted ascending by eigenvalue.
-func collectEigen(w, v *Matrix) *EigenResult {
-	n := w.Rows
+// rotateRows applies the Jacobi rotation (s, tau) of the pair (p, q) to
+// entries lo … hi−1 of rows rp and rq of the n×n work matrix w, and
+// mirrors each new value into column p or q so w stays exactly
+// symmetric. The caller splits 0 … n−1 around p and q, which the rotation
+// updates separately.
+func rotateRows(w, rp, rq []float64, n, lo, hi, p, q int, s, tau float64) {
+	rp, rq = rp[lo:hi], rq[lo:hi]
+	rq = rq[:len(rp)]
+	for j, aip := range rp {
+		i := lo + j
+		aiq := rq[j]
+		nip := aip - s*(aiq+tau*aip)
+		niq := aiq + s*(aip-tau*aiq)
+		rp[j] = nip
+		rq[j] = niq
+		w[i*n+p] = nip
+		w[i*n+q] = niq
+	}
+}
+
+// collectEigen extracts eigenpairs from the (nearly) diagonalized n×n
+// work matrix w and the transposed rotation accumulator vt, sorted
+// ascending by eigenvalue. Each eigenvector is row k of vt, normalized in
+// place and returned as a capacity-capped view of vt's storage, so the
+// extraction copies nothing.
+func collectEigen(w, vt []float64, n int) *EigenResult {
 	res := &EigenResult{
 		Values:  make([]float64, n),
 		Vectors: make([]Vector, n),
@@ -152,16 +183,14 @@ func collectEigen(w, v *Matrix) *EigenResult {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
-		res.Values[i] = w.At(i, i)
 	}
-	sort.Slice(idx, func(a, b int) bool { return w.At(idx[a], idx[a]) < w.At(idx[b], idx[b]) })
-	vals := make([]float64, n)
-	for rank, col := range idx {
-		vals[rank] = w.At(col, col)
-		res.Vectors[rank] = v.Col(col)
-		res.Vectors[rank].Normalize()
+	sort.Slice(idx, func(a, b int) bool { return w[idx[a]*(n+1)] < w[idx[b]*(n+1)] })
+	for rank, k := range idx {
+		res.Values[rank] = w[k*(n+1)]
+		v := Vector(vt[k*n : k*n+n : k*n+n])
+		v.Normalize()
+		res.Vectors[rank] = v
 	}
-	res.Values = vals
 	return res
 }
 

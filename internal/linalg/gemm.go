@@ -3,14 +3,16 @@ package linalg
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"innsearch/internal/parallel"
 )
 
 // This file holds the batched coordinate kernel behind every "project many
 // rows into a subspace" loop in the system: Subspace.ProjectRows, the
-// dataset view materialization, and the member-coordinate stage of the
-// query-cluster subspace search.
+// dataset view materialization, the member-coordinate stage of the
+// query-cluster subspace search, and — with the distance fused in
+// (ProjDistRows) — the nearest scans.
 //
 // The kernel computes dst(i, j) = row(i)·basis[j] with two levels of
 // blocking that both preserve the bit-exact result of the naive
@@ -18,9 +20,10 @@ import (
 //
 //   - contiguous row shards across workers (each entry belongs to exactly
 //     one shard, so output is independent of the worker count), and
-//   - a 4-row micro-tile inside each shard that streams every basis
-//     vector once per four rows instead of once per row; each of the four
-//     accumulators still sums in ascending k order, i.e. exactly the
+//   - a 4-row × 2-basis-vector register tile inside each shard that
+//     streams every basis vector once per four rows, and every row once
+//     per two basis vectors; each of the eight accumulators is still one
+//     inner product summed in ascending k order, i.e. exactly the
 //     float-operation order of Vector.Dot.
 //
 // Axis-aligned subspaces (standard-basis vectors) skip the dot products
@@ -29,7 +32,8 @@ import (
 // bit-identical to the dots.
 
 // gemmRowTile is the micro-tile height: basis vectors are streamed once
-// per tile rather than once per row.
+// per tile rather than once per row (tileDots2 and tileDots take exactly
+// this many rows).
 const gemmRowTile = 4
 
 // ProjectRowsInto writes the subspace coordinates of rows 0 … n−1 into
@@ -64,16 +68,12 @@ func (s *Subspace) ProjectRowsInto(ctx context.Context, workers int, dst *Matrix
 			o1 := dst.Data[(i+1)*l : (i+1)*l+l]
 			o2 := dst.Data[(i+2)*l : (i+2)*l+l]
 			o3 := dst.Data[(i+3)*l : (i+3)*l+l]
-			for j, b := range s.basis {
-				r0, r1, r2, r3 := r0[:len(b)], r1[:len(b)], r2[:len(b)], r3[:len(b)]
-				var s0, s1, s2, s3 float64
-				for k, bk := range b {
-					s0 += r0[k] * bk
-					s1 += r1[k] * bk
-					s2 += r2[k] * bk
-					s3 += r3[k] * bk
-				}
-				o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
+			j := 0
+			for ; j+1 < l; j += 2 {
+				o0[j], o1[j], o2[j], o3[j], o0[j+1], o1[j+1], o2[j+1], o3[j+1] = tileDots2(s.basis[j], s.basis[j+1], r0, r1, r2, r3)
+			}
+			if j < l {
+				o0[j], o1[j], o2[j], o3[j] = tileDots(s.basis[j], r0, r1, r2, r3)
 			}
 		}
 		for ; i < hi; i++ {
@@ -85,6 +85,108 @@ func (s *Subspace) ProjectRowsInto(ctx context.Context, workers int, dst *Matrix
 		}
 		return nil
 	})
+}
+
+// tileDots2 is the micro-tile's inner kernel: the inner products of four
+// rows with two basis vectors a and b, streaming each operand once. Each
+// of the eight accumulators sums in ascending k order — exactly
+// Vector.Dot's float-operation order — so the pairing changes speed, not
+// bits.
+func tileDots2(a, b, r0, r1, r2, r3 Vector) (s0, s1, s2, s3, t0, t1, t2, t3 float64) {
+	b = b[:len(a)]
+	r0, r1, r2, r3 = r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
+	for k, ak := range a {
+		bk := b[k]
+		x0, x1, x2, x3 := r0[k], r1[k], r2[k], r3[k]
+		s0 += x0 * ak
+		s1 += x1 * ak
+		s2 += x2 * ak
+		s3 += x3 * ak
+		t0 += x0 * bk
+		t1 += x1 * bk
+		t2 += x2 * bk
+		t3 += x3 * bk
+	}
+	return s0, s1, s2, s3, t0, t1, t2, t3
+}
+
+// tileDots is tileDots2 for the last basis vector of an odd-dimensional
+// subspace.
+func tileDots(b, r0, r1, r2, r3 Vector) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(b)], r1[:len(b)], r2[:len(b)], r3[:len(b)]
+	for k, bk := range b {
+		s0 += r0[k] * bk
+		s1 += r1[k] * bk
+		s2 += r2[k] * bk
+		s3 += r3[k] * bk
+	}
+	return s0, s1, s2, s3
+}
+
+// ProjDistRows calls emit(i, ‖coords − Proj(row(i), s)‖) for rows
+// i = 0 … n−1 in ascending order, where coords is a point already in the
+// subspace basis (the projected query of a nearest scan). Each distance
+// is bit for bit ProjDistTo(coords, row(i)), which stays the reference
+// form: rows run through the micro-tile of ProjectRowsInto with the
+// distance fused in, so each basis vector is streamed once per four rows,
+// each coordinate is Vector.Dot's ascending-k sum, and each row's squared
+// differences coords[j] − proj[j] accumulate in ascending j before the
+// Sqrt — ProjDistTo's order, with no coordinate stored. Axis-aligned
+// subspaces gather coordinates instead, exactly as ProjDistTo does. The
+// call is serial and allocates nothing; callers shard rows across
+// goroutines and check for cancellation between calls.
+func (s *Subspace) ProjDistRows(coords Vector, n int, row func(int) Vector, emit func(i int, dist float64)) {
+	if len(coords) != len(s.basis) {
+		panic(fmt.Sprintf("linalg: ProjDistRows coords dim %d, subspace dim %d", len(coords), len(s.basis)))
+	}
+	if axes, ok := s.axisIndices(); ok {
+		for i := 0; i < n; i++ {
+			x := row(i)
+			var sum float64
+			for j, a := range axes {
+				d := coords[j] - (x[a] + 0)
+				sum += d * d
+			}
+			emit(i, math.Sqrt(sum))
+		}
+		return
+	}
+	basis := s.basis
+	i := 0
+	for ; i+gemmRowTile <= n; i += gemmRowTile {
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		var q0, q1, q2, q3 float64
+		j := 0
+		for ; j+1 < len(basis); j += 2 {
+			s0, s1, s2, s3, t0, t1, t2, t3 := tileDots2(basis[j], basis[j+1], r0, r1, r2, r3)
+			q0, q1, q2, q3 = addSq(q0, q1, q2, q3, coords[j], s0, s1, s2, s3)
+			q0, q1, q2, q3 = addSq(q0, q1, q2, q3, coords[j+1], t0, t1, t2, t3)
+		}
+		if j < len(basis) {
+			s0, s1, s2, s3 := tileDots(basis[j], r0, r1, r2, r3)
+			q0, q1, q2, q3 = addSq(q0, q1, q2, q3, coords[j], s0, s1, s2, s3)
+		}
+		emit(i, math.Sqrt(q0))
+		emit(i+1, math.Sqrt(q1))
+		emit(i+2, math.Sqrt(q2))
+		emit(i+3, math.Sqrt(q3))
+	}
+	for ; i < n; i++ {
+		x := row(i)
+		var sum float64
+		for j, b := range basis {
+			d := coords[j] - x.Dot(b)
+			sum += d * d
+		}
+		emit(i, math.Sqrt(sum))
+	}
+}
+
+// addSq adds each tile row's squared coordinate difference (c − sᵣ)² to
+// its running sum qᵣ: one step of ProjDistTo's ascending-j accumulation.
+func addSq(q0, q1, q2, q3, c, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	d0, d1, d2, d3 := c-s0, c-s1, c-s2, c-s3
+	return q0 + d0*d0, q1 + d1*d1, q2 + d2*d2, q3 + d3*d3
 }
 
 // ProjectRowsContext is ProjectRows with cooperative cancellation and a

@@ -48,14 +48,30 @@ func naiveProjectRows(s *Subspace, m *Matrix) *Matrix {
 
 // TestProjectRowsKernelBitIdentical pins the determinism contract of the
 // blocked kernel: for row counts that exercise the 4-row micro-tile and
-// its remainder, and at several worker counts, the output must equal the
-// naive loop bit for bit.
+// its remainder, basis counts that exercise the basis-vector pairing and
+// its unpaired last vector, and at several worker counts, the output must
+// equal the naive loop bit for bit — and ProjDistRows, the same tile with
+// the distance fused in, must equal the per-row ProjDistTo.
 func TestProjectRowsKernelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 3, 4, 5, 17, 64, 101} {
 		for _, l := range []int{1, 2, 5} {
 			s := randomSubspace(t, r, 9, l)
 			m := randomMatrix(r, n, 9)
+			coords := randomVector(r, l)
+			next := 0
+			s.ProjDistRows(coords, n, m.Row, func(i int, dist float64) {
+				if i != next {
+					t.Fatalf("n=%d l=%d: ProjDistRows emitted row %d, want %d", n, l, i, next)
+				}
+				next++
+				if want := s.ProjDistTo(coords, m.Row(i)); math.Float64bits(dist) != math.Float64bits(want) {
+					t.Fatalf("n=%d l=%d: ProjDistRows row %d = %v, ProjDistTo %v", n, l, i, dist, want)
+				}
+			})
+			if next != n {
+				t.Fatalf("n=%d l=%d: ProjDistRows emitted %d rows", n, l, next)
+			}
 			want := naiveProjectRows(s, m)
 			for _, workers := range []int{1, 4, 8} {
 				got, err := s.ProjectRowsContext(context.Background(), workers, m)
@@ -125,6 +141,11 @@ func TestProjectRowsAxisFastPathBitIdentical(t *testing.T) {
 	if want, got := math.Sqrt(sum), s.ProjDistTo(coords, y); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("ProjDistTo = %v, want %v", got, want)
 	}
+	s.ProjDistRows(coords, 1, func(int) Vector { return y }, func(_ int, got float64) {
+		if want := math.Sqrt(sum); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ProjDistRows = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestAxisAlignedDetection covers the classifier: full spaces, axis

@@ -242,8 +242,9 @@ func (s *Subspace) PDist(x1, x2 Vector) float64 {
 // already expressed in the subspace basis, i.e. Proj(q, E) — and the
 // projection of the ambient point x, without materializing Proj(x, E).
 // It performs exactly the operations of coords.Dist(s.Project(x)) in the
-// same order, so results are bit-identical to the allocating form; this
-// is the engine's per-point distance in the query-cluster scans.
+// same order, so results are bit-identical to the allocating form. It is
+// the per-row reference for ProjDistRows, the row-tiled form the engine's
+// nearest scans run.
 func (s *Subspace) ProjDistTo(coords, x Vector) float64 {
 	if len(coords) != len(s.basis) {
 		panic(fmt.Sprintf("linalg: ProjDistTo coords dim %d, subspace dim %d", len(coords), len(s.basis)))

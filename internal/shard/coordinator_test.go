@@ -19,7 +19,7 @@ import (
 	"innsearch/internal/telemetry"
 )
 
-func testDataset(t *testing.T, seed int64, n, d int) *dataset.Dataset {
+func testDataset(t testing.TB, seed int64, n, d int) *dataset.Dataset {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)

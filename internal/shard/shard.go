@@ -108,15 +108,20 @@ func SelectNearest(cands []Cand, k int) {
 
 // cancelStride is how many rows the nearest-window scan processes
 // between context checks, so a canceled session abandons a scatter
-// mid-window.
+// mid-window. It is also the scan's block: each block of rows is one
+// call of the distance kernel.
 const cancelStride = 1024
 
 // nearestWindow returns the k nearest rows among v's rows [lo, hi) to the
 // projected query qp under sub's projected distance, ascending (dist,
 // pos): exact projected distances for every row of the window, filled
 // into the reused buffer *buf one row-owned slot each (on workers
-// goroutines), then the bounded top-k selection. Only the k survivors
-// are copied out, so a call allocates O(k), not O(rows).
+// goroutines), then the bounded top-k selection. Each worker sweeps its
+// rows in blocks of cancelStride through Subspace.ProjDistRows, the
+// row-tiled form of ProjDistTo with the same bits (shared with the
+// projection kernel's determinism contract), so the distances do not
+// depend on the worker count. Only the k survivors are copied out, so a
+// call allocates O(k), not O(rows).
 func nearestWindow(ctx context.Context, v *dataset.View, sub *linalg.Subspace, qp linalg.Vector, k, lo, hi, workers int, buf *[]Cand) ([]Cand, error) {
 	if k <= 0 {
 		return nil, nil
@@ -127,13 +132,15 @@ func nearestWindow(ctx context.Context, v *dataset.View, sub *linalg.Subspace, q
 	}
 	near := (*buf)[:n]
 	err := parallel.ForShards(ctx, workers, n, func(ctx context.Context, _, slo, shi int) error {
-		for i := slo; i < shi; i++ {
-			if (i-slo)%cancelStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		for b := slo; b < shi; b += cancelStride {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			near[i] = Cand{Pos: lo + i, Dist: sub.ProjDistTo(qp, v.Point(lo+i))}
+			block := near[b:min(b+cancelStride, shi)]
+			first := lo + b
+			sub.ProjDistRows(qp, len(block),
+				func(i int) linalg.Vector { return v.Point(first + i) },
+				func(i int, dist float64) { block[i] = Cand{Pos: first + i, Dist: dist} })
 		}
 		return nil
 	})
