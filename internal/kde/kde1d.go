@@ -83,8 +83,14 @@ func Estimate1D(xs []float64, p int, bandwidthScale float64) (*Grid1D, error) {
 		g.Min -= 0.5
 		g.Max += 0.5
 	}
-	g.Density = make([]float64, p)
 	c := 1 / (float64(len(xs)) * math.Sqrt(2*math.Pi) * h)
+	for _, v := range []float64{h, g.Step(), c} {
+		if !isFinite(v) || v <= 0 {
+			return nil, fmt.Errorf("%w: grid geometry not representable (bandwidth %g, step %g, normalization %g)",
+				ErrBadInput, h, g.Step(), c)
+		}
+	}
+	g.Density = make([]float64, p)
 	for i := 0; i < p; i++ {
 		gx := g.X(i)
 		var sum float64

@@ -63,6 +63,25 @@ func TestEstimate1DErrors(t *testing.T) {
 	}
 }
 
+// TestEstimate1DUnrepresentableGeometry pins the rule planGrid applies in
+// 2-D: finite input whose bandwidth, grid bounds or normalization
+// overflows is ErrBadInput, never a grid of NaN or Inf densities.
+func TestEstimate1DUnrepresentableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		xs    []float64
+		scale float64
+	}{
+		{"spread overflows", []float64{1e200, -1e200, 3e199, -7e199}, 0},
+		{"scaled bandwidth overflows", []float64{1, 2, 3, 4}, 1e308},
+	} {
+		g, err := Estimate1D(tc.xs, 16, tc.scale)
+		if !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: err = %v, want ErrBadInput (grid %+v)", tc.name, err, g)
+		}
+	}
+}
+
 func TestEstimate1DConstantSample(t *testing.T) {
 	g, err := Estimate1D([]float64{4, 4, 4, 4}, 16, 0)
 	if err != nil {

@@ -161,7 +161,15 @@ func (d *driver) run(ctx context.Context, spec SessionSpec) SessionRecord {
 		d.metrics.viewWait.Observe(time.Since(lastAction).Seconds())
 		rec.ViewsSeen++
 
-		profile := view.Profile.ToProfile()
+		if view.Profile == nil {
+			rec.State, rec.Error = StateError, "view in state "+wire.StateAwaiting+" carries no profile"
+			return rec
+		}
+		profile, err := view.Profile.ToProfile()
+		if err != nil {
+			rec.State, rec.Error = StateError, err.Error()
+			return rec
+		}
 		preview := func(tau float64) *grid.Region {
 			reg, err := profile.Region(tau)
 			if err != nil {

@@ -441,7 +441,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 	go func() {
 		defer s.metrics.add(liveSessionViews, -1)
-		res, runErr := engine.RunContext(ctx)
+		res, runErr := runEngine(ctx, engine.RunContext)
 		if runErr != nil {
 			// Surface the cancellation cause (view timeout, eviction,
 			// client close, shutdown) instead of the bare context error.
@@ -473,6 +473,19 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Dim:     ds.Dim(),
 		State:   wire.StateComputing,
 	})
+}
+
+// runEngine runs one session's engine and turns a panic on the session
+// goroutine into the session's error, so a bug the engine hits on one
+// dataset fails that session alone instead of taking down the daemon and
+// every other live session.
+func runEngine(ctx context.Context, run func(context.Context) (*core.Result, error)) (res *core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("engine panic: %v", p)
+		}
+	}()
+	return run(ctx)
 }
 
 // finalViewResponse reports a finished session through the view endpoint.

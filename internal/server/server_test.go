@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -610,5 +611,26 @@ func TestNegativeDecisionWeightRejected(t *testing.T) {
 	})
 	if !rejected || res.State != wire.StateDone {
 		t.Fatalf("session after a rejected decision: rejected=%v state %q (%s)", rejected, res.State, res.Error)
+	}
+}
+
+// TestRunEngineContainsPanic pins the session goroutine's containment: a
+// panicking engine becomes the session's error instead of a crash, and a
+// run that returns passes its result and error through unchanged.
+func TestRunEngineContainsPanic(t *testing.T) {
+	res, err := runEngine(context.Background(), func(context.Context) (*core.Result, error) {
+		var rows []int
+		_ = rows[3] // index out of range
+		return &core.Result{}, nil
+	})
+	if res != nil || err == nil || !strings.HasPrefix(err.Error(), "engine panic: ") || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("panicking run → %v, %v; want nil and an \"engine panic: …index out of range…\" error", res, err)
+	}
+	want := &core.Result{Iterations: 2}
+	if res, err := runEngine(context.Background(), func(context.Context) (*core.Result, error) { return want, nil }); res != want || err != nil {
+		t.Fatalf("clean run → %v, %v; want its result and no error", res, err)
+	}
+	if _, err := runEngine(context.Background(), func(context.Context) (*core.Result, error) { return nil, context.Canceled }); err != context.Canceled {
+		t.Fatalf("failed run → %v; want its error unchanged", err)
 	}
 }

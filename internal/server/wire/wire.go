@@ -5,14 +5,23 @@
 // are a contract with remote clients and change only deliberately (the
 // golden-file tests in this package pin the encoded bytes).
 //
-// Conventions: snake_case field names; float64 values round-trip exactly
-// through encoding/json (Go emits the shortest representation that parses
-// back to the same bits), so a decision echoed through the wire selects
-// bit-identically the same points as one made in-process.
+// Conventions: snake_case field names. Scalar float64 values are JSON
+// numbers, which round-trip exactly through encoding/json (Go emits the
+// shortest representation that parses back to the same bits). The bulk
+// arrays of views and previews — grid densities, point coordinates, row
+// IDs and member cells — are each one JSON string: standard padded
+// base64 of the values' little-endian bytes, 8 per float64 (its IEEE-754
+// bits, see Float64s) and 4 per int (as int32, see Ints). Both forms are
+// bit-exact, so a decision echoed through the wire selects bit-identically
+// the same points as one made in-process.
 package wire
 
 import (
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -24,18 +33,154 @@ import (
 	"innsearch/internal/linalg"
 )
 
+// b64 is the array codec's base64 alphabet: standard, padded, and strict
+// about trailing padding bits, so each array has exactly one encoding.
+var b64 = base64.StdEncoding.Strict()
+
+// chunkBytes is the raw size of one encode/decode step. It is a multiple
+// of 3 (a chunk encodes to whole base64 quanta, so padding can appear only
+// at the end of the string), of 8 (whole float64s) and of 4 (whole
+// int32s); the chunk lives on the stack, so neither direction allocates
+// beyond its result.
+const chunkBytes = 24 * 128
+
+// Float64s is a float64 array that travels as one JSON string: the
+// standard padded base64 of each value's IEEE-754 bits
+// (math.Float64bits), 8 little-endian bytes per value. The encoding is
+// bit-exact by construction, −0 and NaN payloads included.
+type Float64s []float64
+
+// Ints is an int array that travels as one JSON string: the standard
+// padded base64 of each value as a little-endian int32, 4 bytes per value.
+// Every int the protocol ships — row IDs below n, cell indices below the
+// grid size — fits; encoding a value outside int32 is an error.
+type Ints []int
+
+// MarshalText implements encoding.TextMarshaler.
+func (v Float64s) MarshalText() ([]byte, error) {
+	const per = chunkBytes / 8
+	var chunk [chunkBytes]byte
+	out := make([]byte, b64.EncodedLen(8*len(v)))
+	for lo := 0; lo < len(v); lo += per {
+		vals := v[lo:min(lo+per, len(v))]
+		for i, x := range vals {
+			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(x))
+		}
+		b64.Encode(out[b64.EncodedLen(8*lo):], chunk[:8*len(vals)])
+	}
+	return out, nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (v *Float64s) UnmarshalText(text []byte) error {
+	const per = chunkBytes / 8
+	n, err := arrayLen(text, 8)
+	if err != nil {
+		return fmt.Errorf("wire: float64 array: %w", err)
+	}
+	var chunk [chunkBytes]byte
+	out := make(Float64s, n)
+	for lo := 0; lo < n; lo += per {
+		vals := out[lo:min(lo+per, n)]
+		if err := decodeChunk(&chunk, text, 8*lo, 8*len(vals)); err != nil {
+			return fmt.Errorf("wire: float64 array: %w", err)
+		}
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
+		}
+	}
+	*v = out
+	return nil
+}
+
+// MarshalText implements encoding.TextMarshaler.
+func (v Ints) MarshalText() ([]byte, error) {
+	const per = chunkBytes / 4
+	var chunk [chunkBytes]byte
+	out := make([]byte, b64.EncodedLen(4*len(v)))
+	for lo := 0; lo < len(v); lo += per {
+		vals := v[lo:min(lo+per, len(v))]
+		for i, x := range vals {
+			if x < math.MinInt32 || x > math.MaxInt32 {
+				return nil, fmt.Errorf("wire: int array: value %d at index %d does not fit int32", x, lo+i)
+			}
+			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(int32(x)))
+		}
+		b64.Encode(out[b64.EncodedLen(4*lo):], chunk[:4*len(vals)])
+	}
+	return out, nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (v *Ints) UnmarshalText(text []byte) error {
+	const per = chunkBytes / 4
+	n, err := arrayLen(text, 4)
+	if err != nil {
+		return fmt.Errorf("wire: int array: %w", err)
+	}
+	var chunk [chunkBytes]byte
+	out := make(Ints, n)
+	for lo := 0; lo < n; lo += per {
+		vals := out[lo:min(lo+per, n)]
+		if err := decodeChunk(&chunk, text, 4*lo, 4*len(vals)); err != nil {
+			return fmt.Errorf("wire: int array: %w", err)
+		}
+		for i := range vals {
+			vals[i] = int(int32(binary.LittleEndian.Uint32(chunk[4*i:])))
+		}
+	}
+	*v = out
+	return nil
+}
+
+var errArrayLength = errors.New("encoded length is not a whole number of values")
+
+// arrayLen returns the number of width-byte values text encodes, judged
+// from its length and trailing padding alone; decodeChunk checks that the
+// content agrees.
+func arrayLen(text []byte, width int) (int, error) {
+	if len(text)%4 != 0 {
+		return 0, errArrayLength
+	}
+	size := len(text) / 4 * 3
+	for i := len(text) - 1; i >= 0 && i >= len(text)-2 && text[i] == '='; i-- {
+		size--
+	}
+	if size%width != 0 {
+		return 0, errArrayLength
+	}
+	return size / width, nil
+}
+
+// decodeChunk decodes the want bytes that start at byte offset off, a
+// multiple of chunkBytes, of the array text encodes. The quanta must
+// decode to exactly want bytes: the base64 decoder skips CR and LF and
+// accepts padding at the end of any chunk, and either would let a second
+// string decode to the same array.
+func decodeChunk(chunk *[chunkBytes]byte, text []byte, off, want int) error {
+	lo := off / 3 * 4
+	got, err := b64.Decode(chunk[:], text[lo:min(lo+chunkBytes/3*4, len(text))])
+	if err != nil {
+		return err
+	}
+	if got != want {
+		return errArrayLength
+	}
+	return nil
+}
+
 // Grid is the wire form of a kernel density grid: a p×p lattice of
 // density values over [min_x, max_x] × [min_y, max_y], row-major by y.
 type Grid struct {
-	P       int       `json:"p"`
-	MinX    float64   `json:"min_x"`
-	MaxX    float64   `json:"max_x"`
-	MinY    float64   `json:"min_y"`
-	MaxY    float64   `json:"max_y"`
-	Density []float64 `json:"density"`
-	Hx      float64   `json:"hx"`
-	Hy      float64   `json:"hy"`
-	N       int       `json:"n"`
+	P       int      `json:"p"`
+	MinX    float64  `json:"min_x"`
+	MaxX    float64  `json:"max_x"`
+	MinY    float64  `json:"min_y"`
+	MaxY    float64  `json:"max_y"`
+	Density Float64s `json:"density"`
+	Hx      float64  `json:"hx"`
+	Hy      float64  `json:"hy"`
+	N       int      `json:"n"`
 }
 
 // FromGrid encodes a density grid.
@@ -54,26 +199,25 @@ func FromGrid(g *kde.Grid) Grid {
 // lateral scatter plot, and the query marker, and to convert a separator
 // fraction into an absolute τ.
 type Profile struct {
-	Major          int          `json:"major"`
-	Minor          int          `json:"minor"`
-	RemainingDim   int          `json:"remaining_dim"`
-	OriginalN      int          `json:"original_n"`
-	QueryX         float64      `json:"query_x"`
-	QueryY         float64      `json:"query_y"`
-	QueryDensity   float64      `json:"query_density"`
-	Discrimination float64      `json:"discrimination"`
-	PeakRatio      float64      `json:"peak_ratio"`
-	Grid           Grid         `json:"grid"`
-	Points         [][2]float64 `json:"points"`
-	IDs            []int        `json:"ids"`
+	Major          int     `json:"major"`
+	Minor          int     `json:"minor"`
+	RemainingDim   int     `json:"remaining_dim"`
+	OriginalN      int     `json:"original_n"`
+	QueryX         float64 `json:"query_x"`
+	QueryY         float64 `json:"query_y"`
+	QueryDensity   float64 `json:"query_density"`
+	Discrimination float64 `json:"discrimination"`
+	PeakRatio      float64 `json:"peak_ratio"`
+	Grid           Grid    `json:"grid"`
+	// Points are the view's projected coordinates interleaved as
+	// x0, y0, x1, y1, …; IDs are their original row IDs, one per point.
+	Points Float64s `json:"points"`
+	IDs    Ints     `json:"ids"`
 }
 
-// FromProfile encodes a visual profile.
+// FromProfile encodes a visual profile. Points aliases the profile's n×2
+// row-major coordinate matrix, which is already the interleaved layout.
 func FromProfile(p *core.VisualProfile) Profile {
-	pts := make([][2]float64, p.Points.Rows)
-	for i := range pts {
-		pts[i] = [2]float64{p.Points.At(i, 0), p.Points.At(i, 1)}
-	}
 	return Profile{
 		Major:          p.Major,
 		Minor:          p.Minor,
@@ -85,14 +229,14 @@ func FromProfile(p *core.VisualProfile) Profile {
 		Discrimination: p.Discrimination,
 		PeakRatio:      p.PeakRatio(),
 		Grid:           FromGrid(p.Grid),
-		Points:         pts,
+		Points:         p.Points.Data,
 		IDs:            p.IDs,
 	}
 }
 
 // ToGrid decodes the density grid back into the engine's in-memory form.
-// Density values round-trip exactly through JSON, so the decoded grid is
-// bit-identical to the one the server rendered.
+// Density values round-trip bit-exactly through the wire, so the decoded
+// grid is bit-identical to the one the server rendered.
 func (g Grid) ToGrid() *kde.Grid {
 	return &kde.Grid{
 		P:    g.P,
@@ -109,12 +253,21 @@ func (g Grid) ToGrid() *kde.Grid {
 // in-process one. Because every float64 round-trips exactly, local region
 // previews computed on the decoded grid select bit-identically the same
 // points the server's preview endpoint would. Projection is nil — the
-// server never ships the basis — which no simulated user consults.
-func (p Profile) ToProfile() *core.VisualProfile {
-	pts := linalg.NewMatrix(len(p.Points), 2)
-	for i, xy := range p.Points {
-		pts.Set(i, 0, xy[0])
-		pts.Set(i, 1, xy[1])
+// server never ships the basis — which no simulated user consults. The
+// decoded points become the n×2 matrix without a copy. ToProfile rejects
+// a profile whose arrays disagree in shape: an odd number of coordinates,
+// an ID count other than the point count, or a density array that is not
+// p×p.
+func (p Profile) ToProfile() (*core.VisualProfile, error) {
+	if len(p.Points)%2 != 0 {
+		return nil, fmt.Errorf("wire: profile has %d point coordinates, want x, y pairs", len(p.Points))
+	}
+	n := len(p.Points) / 2
+	if len(p.IDs) != n {
+		return nil, fmt.Errorf("wire: profile has %d ids for %d points", len(p.IDs), n)
+	}
+	if g := p.Grid; g.P <= 0 || len(g.Density)%g.P != 0 || len(g.Density)/g.P != g.P {
+		return nil, fmt.Errorf("wire: grid has %d densities, want p×p for p = %d", len(g.Density), g.P)
 	}
 	return &core.VisualProfile{
 		Major:          p.Major,
@@ -123,12 +276,12 @@ func (p Profile) ToProfile() *core.VisualProfile {
 		QueryX:         p.QueryX,
 		QueryY:         p.QueryY,
 		QueryDensity:   p.QueryDensity,
-		Points:         pts,
+		Points:         &linalg.Matrix{Rows: n, Cols: 2, Data: p.Points},
 		IDs:            p.IDs,
 		Discrimination: p.Discrimination,
 		RemainingDim:   p.RemainingDim,
 		OriginalN:      p.OriginalN,
-	}
+	}, nil
 }
 
 // Line is the wire form of a polygonal separating line.
@@ -185,12 +338,12 @@ type Region struct {
 	Tau float64 `json:"tau"`
 	// Cells is the number of member elementary rectangles.
 	Cells int `json:"cells"`
-	// MemberCells lists the member rectangles as [cx, cy] pairs, cy-major
-	// ascending — the deterministic scan order.
-	MemberCells [][2]int `json:"member_cells"`
+	// MemberCells lists the member rectangles interleaved as cx0, cy0,
+	// cx1, cy1, …, cy-major ascending — the deterministic scan order.
+	MemberCells Ints `json:"member_cells"`
 	// SelectedIDs are the original row IDs inside the region, ascending
 	// by row position.
-	SelectedIDs []int `json:"selected_ids"`
+	SelectedIDs Ints `json:"selected_ids"`
 	// SelectedCount is len(SelectedIDs) of a total of ViewN points in the
 	// view.
 	SelectedCount int `json:"selected_count"`
@@ -201,11 +354,11 @@ type Region struct {
 // from.
 func FromRegion(reg *grid.Region, p *core.VisualProfile) Region {
 	side := reg.Grid.P - 1
-	out := Region{Tau: reg.Tau, Cells: reg.Cells, ViewN: p.Points.Rows}
+	out := Region{Tau: reg.Tau, Cells: reg.Cells, ViewN: p.Points.Rows, MemberCells: make(Ints, 0, 2*reg.Cells)}
 	for cy := 0; cy < side; cy++ {
 		for cx := 0; cx < side; cx++ {
 			if reg.ContainsCell(cx, cy) {
-				out.MemberCells = append(out.MemberCells, [2]int{cx, cy})
+				out.MemberCells = append(out.MemberCells, cx, cy)
 			}
 		}
 	}

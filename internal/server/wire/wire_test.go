@@ -2,10 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,7 +238,10 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &over); err != nil {
 		t.Fatal(err)
 	}
-	got := over.ToProfile()
+	got, err := over.ToProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Major != p.Major || got.Minor != p.Minor || got.RemainingDim != p.RemainingDim || got.OriginalN != p.OriginalN {
 		t.Fatalf("counters drifted: got %+v", got)
 	}
@@ -277,6 +285,238 @@ func TestProfileRoundTrip(t *testing.T) {
 	for i := range ws {
 		if ws[i] != hs[i] {
 			t.Fatalf("region selections differ at %d: %v vs %v", i, ws, hs)
+		}
+	}
+}
+
+// referenceBase64 is the array encoding spelled out without chunks: the
+// standard padded base64 of the little-endian value bytes.
+func referenceBase64(t *testing.T, values any) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := binary.Write(&buf, binary.LittleEndian, values); err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes())
+}
+
+// arraySizes straddle the codec's chunk boundaries for both widths.
+var arraySizes = []int{0, 1, 2, 3, 4, 5, 383, 384, 385, 767, 768, 769, 1000, 2305}
+
+// TestFloat64sRoundTripBits checks the float64 array codec against the
+// unchunked reference encoding and for bit-exact decoding, signed zeros,
+// infinities, subnormals and NaN payloads included.
+func TestFloat64sRoundTripBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1, 1.0 / 3}
+	for _, n := range arraySizes {
+		v := make(Float64s, n)
+		for i := range v {
+			if i < len(special) {
+				v[i] = special[i]
+			} else {
+				v[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+		text, err := v.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := make([]uint64, n)
+		for i, x := range v {
+			raw[i] = math.Float64bits(x)
+		}
+		if want := referenceBase64(t, raw); string(text) != want {
+			t.Fatalf("n=%d: encoding differs from the reference base64", n)
+		}
+		var back Float64s
+		if err := back.UnmarshalText(text); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(back) != n {
+			t.Fatalf("n=%d: decoded %d values", n, len(back))
+		}
+		for i := range v {
+			if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("n=%d: value %d decoded to bits %x, want %x", n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+			}
+		}
+	}
+}
+
+// TestIntsRoundTrip checks the int array codec against the unchunked
+// reference encoding, at the int32 limits and across chunk boundaries,
+// and that an int outside int32 is an encoding error.
+func TestIntsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range arraySizes {
+		v := make(Ints, n)
+		raw := make([]int32, n)
+		for i := range v {
+			switch i {
+			case 0:
+				v[i] = math.MinInt32
+			case 1:
+				v[i] = math.MaxInt32
+			default:
+				v[i] = int(int32(rng.Uint32()))
+			}
+			raw[i] = int32(v[i])
+		}
+		text, err := v.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceBase64(t, raw); string(text) != want {
+			t.Fatalf("n=%d: encoding differs from the reference base64", n)
+		}
+		var back Ints
+		if err := back.UnmarshalText(text); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !slices.Equal(back, v) {
+			t.Fatalf("n=%d: decoded ints differ", n)
+		}
+	}
+	for _, x := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		if _, err := (Ints{0, x}).MarshalText(); err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("encoding %d: err = %v, want an int32 range error", x, err)
+		}
+	}
+}
+
+// TestArrayDecodeRejects pins the decoders' strictness: every accepted
+// string is the one canonical encoding of its array.
+func TestArrayDecodeRejects(t *testing.T) {
+	long := Float64s(make([]float64, 1000))
+	longText, err := long.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chunk-aligned string with padding spliced in at a chunk boundary.
+	const chunkChars = chunkBytes / 3 * 4
+	padded := append([]byte(nil), longText[:chunkChars]...)
+	padded[chunkChars-1] = '='
+	padded = append(padded, longText[chunkChars:]...)
+	for name, text := range map[string]string{
+		"not a base64 quantum":    "AAAAAAAAAAA",
+		"partial value":           "AAAAAAAAAAAA",
+		"non-zero padding bits":   "AAAAAAAAAAF=",
+		"bad alphabet":            "AAAA-AAAAAA=",
+		"url alphabet":            "AAAAAAAA_w==",
+		"newline":                 "AAAA\nAAAAAA=",
+		"CRLF in a value":         "AAAAAAAA\r\nAAA",
+		"padding mid-string":      "AAAAAAA=AAAAAAA=",
+		"padding at a chunk edge": string(padded),
+		"only padding":            "====",
+	} {
+		var f Float64s
+		if err := f.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%s: a %d-character float64 array decoded to %d values", name, len(text), len(f))
+		}
+	}
+	for name, text := range map[string]string{
+		"partial value": "AAAAAAA=",
+		"newline":       "AAAAAAAA\nAAA",
+	} {
+		var v Ints
+		if err := v.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%s: int array %q decoded to %d values", name, text, len(v))
+		}
+	}
+}
+
+// TestToProfileRejectsShapes checks that ToProfile refuses arrays that
+// cannot form an n×2 view with one ID per point on a p×p grid.
+func TestToProfileRejectsShapes(t *testing.T) {
+	// Two float64s: one point, or a 1×1 grid with one spare value.
+	const one, two = `"AAAAAAAA4L8="`, `"AAAAAAAA4L8AAAAAAADwvw=="`
+	for _, tc := range []struct{ name, body, want string }{
+		{"odd coordinate count", `{"points":` + one + `,"ids":"","grid":{"p":1,"density":` + one + `}}`, "pairs"},
+		{"ids short", `{"points":` + two + `,"ids":"","grid":{"p":1,"density":` + one + `}}`, "ids"},
+		{"density not p×p", `{"points":` + two + `,"ids":"BwAAAA==","grid":{"p":1,"density":` + two + `}}`, "densities"},
+		{"no grid", `{"points":` + two + `,"ids":"BwAAAA=="}`, "densities"},
+	} {
+		var p Profile
+		if err := json.Unmarshal([]byte(tc.body), &p); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := p.ToProfile(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	var p Profile
+	if err := json.Unmarshal([]byte(`{"points":`+two+`,"ids":"BwAAAA==","grid":{"p":1,"density":`+one+`}}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	if vp, err := p.ToProfile(); err != nil || vp.Points.Rows != 1 || vp.Points.At(0, 1) != -1 || vp.IDs[0] != 7 {
+		t.Errorf("well-shaped profile → %+v, %v", vp, err)
+	}
+}
+
+// TestArrayCodecAllocations pins the codec's allocation budget: encoding
+// allocates only its output, decoding only its result slice.
+func TestArrayCodecAllocations(t *testing.T) {
+	v := make(Float64s, 5000)
+	ids := make(Ints, 5000)
+	ftext, _ := v.MarshalText()
+	itext, _ := ids.MarshalText()
+	for name, f := range map[string]func(){
+		"Float64s.MarshalText":   func() { _, _ = v.MarshalText() },
+		"Ints.MarshalText":       func() { _, _ = ids.MarshalText() },
+		"Float64s.UnmarshalText": func() { var out Float64s; _ = out.UnmarshalText(ftext) },
+		"Ints.UnmarshalText":     func() { var out Ints; _ = out.UnmarshalText(itext) },
+	} {
+		if got := testing.AllocsPerRun(20, f); got != 1 {
+			t.Errorf("%s: %v allocations per call, want 1", name, got)
+		}
+	}
+}
+
+// viewSink keeps BenchmarkViewWireRoundTrip's result live.
+var viewSink *core.VisualProfile
+
+// BenchmarkViewWireRoundTrip times one view through the wire the way
+// innsearchd and its clients carry it: FromProfile, JSON encode, JSON
+// decode, ToProfile, for n = 20000 points on the engine's default 48×48
+// grid.
+func BenchmarkViewWireRoundTrip(b *testing.B) {
+	const n, p = 20000, 48
+	rng := rand.New(rand.NewSource(1))
+	pts := linalg.NewMatrix(n, 2)
+	for i := range pts.Data {
+		pts.Data[i] = rng.NormFloat64()
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	density := make([]float64, p*p)
+	for i := range density {
+		density[i] = rng.Float64()
+	}
+	vp := &core.VisualProfile{
+		Major: 1, Minor: 2,
+		Grid:   &kde.Grid{P: p, MinX: -4, MaxX: 4, MinY: -4, MaxY: 4, Density: density, Hx: 0.3, Hy: 0.3, N: n},
+		QueryX: 0.1, QueryY: -0.2, QueryDensity: 0.05,
+		Points: pts, IDs: ids,
+		Discrimination: 0.7, RemainingDim: 20, OriginalN: n,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prof := FromProfile(vp)
+		raw, err := json.Marshal(ViewResponse{State: StateAwaiting, Seq: i + 1, Profile: &prof})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var view ViewResponse
+		if err := json.Unmarshal(raw, &view); err != nil {
+			b.Fatal(err)
+		}
+		if viewSink, err = view.Profile.ToProfile(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
