@@ -19,6 +19,10 @@
 // baseline, -1 in the run). Benchmarks present on only one side are
 // reported but never fatal, so adding or retiring a benchmark does not
 // break the gate.
+//
+// Repeated samples of one benchmark (go test -count=N) collapse into one
+// record of their medians, so a single sample slowed by box load cannot
+// fail the gate on its own.
 package main
 
 import (
@@ -77,7 +81,44 @@ func parse(r io.Reader) ([]Record, error) {
 	}
 	// Deterministic output order regardless of package interleaving.
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	merged := out[:0]
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && out[hi].Name == out[lo].Name {
+			hi++
+		}
+		merged = append(merged, medianRecord(out[lo:hi]))
+		lo = hi
+	}
+	return merged, nil
+}
+
+// medianRecord collapses the samples of one benchmark into a record whose
+// every numeric field is the median of that field over the samples (the
+// mean of the middle two for an even count). One sample is returned as is.
+func medianRecord(samples []Record) Record {
+	if len(samples) == 1 {
+		return samples[0]
+	}
+	med := func(field func(Record) float64) float64 {
+		v := make([]float64, len(samples))
+		for i, s := range samples {
+			v[i] = field(s)
+		}
+		sort.Float64s(v)
+		n := len(v)
+		if n%2 == 1 {
+			return v[n/2]
+		}
+		return (v[n/2-1] + v[n/2]) / 2
+	}
+	return Record{
+		Name:        samples[0].Name,
+		Iterations:  int64(med(func(r Record) float64 { return float64(r.Iterations) })),
+		NsPerOp:     med(func(r Record) float64 { return r.NsPerOp }),
+		BytesPerOp:  int64(med(func(r Record) float64 { return float64(r.BytesPerOp) })),
+		AllocsPerOp: int64(med(func(r Record) float64 { return float64(r.AllocsPerOp) })),
+	}
 }
 
 func load(path string) ([]Record, error) {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,5 +91,61 @@ func TestCompareGateBytes(t *testing.T) {
 	ok := []Record{{Name: "BenchmarkAlloc", NsPerOp: 14e6, BytesPerOp: 3 << 19}}
 	if failed := compare(&strings.Builder{}, base, ok, 1.5, 1e6); len(failed) != 0 {
 		t.Errorf("1.4x time and 1.5x bytes flagged as regression: %v", failed)
+	}
+}
+
+// samples renders n `go test -count=n` result lines of one benchmark at
+// the given ns/op values.
+func samples(name string, ns ...float64) string {
+	var sb strings.Builder
+	for _, v := range ns {
+		fmt.Fprintf(&sb, "%s-8   \t       3\t %.0f ns/op\t 1000 B/op\t 10 allocs/op\n", name, v)
+	}
+	return sb.String()
+}
+
+func TestParseGatesTheMedianOfRepeatedSamples(t *testing.T) {
+	base := []Record{{Name: "BenchmarkBig", NsPerOp: 10e6, BytesPerOp: 1000, AllocsPerOp: 10}}
+	for _, tc := range []struct {
+		name string
+		ns   []float64
+		fail bool
+	}{
+		{"five samples at 2.1x", []float64{21e6, 21e6, 21e6, 21e6, 21e6}, true},
+		{"one outlier at 2.3x", []float64{10e6, 23e6, 10e6, 10e6, 10e6}, false},
+		{"single sample at 2.3x", []float64{23e6}, true},
+		{"single sample at 1.9x", []float64{19e6}, false},
+	} {
+		recs, err := parse(strings.NewReader(samples("BenchmarkBig", tc.ns...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d records, want 1", tc.name, len(recs))
+		}
+		failed := compare(&strings.Builder{}, base, recs, 2.0, 1e6)
+		if got := len(failed) > 0; got != tc.fail {
+			t.Errorf("%s: failed = %v, want fail %v (record %+v)", tc.name, failed, tc.fail, recs[0])
+		}
+	}
+}
+
+func TestParseMedianFields(t *testing.T) {
+	in := "BenchmarkA-8 3 5000000 ns/op 300 B/op 3 allocs/op\n" +
+		"BenchmarkB 5 100 ns/op\n" +
+		"BenchmarkA-8 3 1000000 ns/op 100 B/op 1 allocs/op\n" +
+		"BenchmarkA-8 3 3000000 ns/op 900 B/op 2 allocs/op\n" +
+		"BenchmarkC 4 10 ns/op\nBenchmarkC 4 20 ns/op\n"
+	recs, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{Name: "BenchmarkA", Iterations: 3, NsPerOp: 3e6, BytesPerOp: 300, AllocsPerOp: 2},
+		{Name: "BenchmarkB", Iterations: 5, NsPerOp: 100, BytesPerOp: -1, AllocsPerOp: -1},
+		{Name: "BenchmarkC", Iterations: 4, NsPerOp: 15, BytesPerOp: -1, AllocsPerOp: -1},
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("records = %+v, want %+v", recs, want)
 	}
 }

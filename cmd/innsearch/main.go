@@ -32,6 +32,7 @@ import (
 	"innsearch/internal/core"
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
+	"innsearch/internal/synth"
 	"innsearch/internal/user"
 )
 
@@ -90,11 +91,9 @@ func main() {
 			if !ds.Labeled() {
 				fatalIf(fmt.Errorf("oracle user needs a labeled dataset"))
 			}
-			truth := ds.Label(*query)
-			for i := 0; i < ds.N(); i++ {
-				if ds.Label(i) == truth {
-					pcfg.Relevant = append(pcfg.Relevant, ds.ID(i))
-				}
+			pcfg.Relevant = synth.ClusterIDs(ds, *query)
+			if pcfg.Relevant == nil {
+				fatalIf(fmt.Errorf("query row %d has no ground-truth cluster", *query))
 			}
 		}
 		if *replayPath != "" {

@@ -43,7 +43,7 @@ type View struct {
 	// parent and parentRows record row provenance: the view this one was
 	// narrowed from and, per narrowed row, its position in that parent.
 	// They are the stable row-identity accessor the index-derivation path
-	// reads (see Provenance and RowsBetween); nil parent means the view
+	// reads (see RowsBetween); nil parent means the view
 	// was not produced by Narrow.
 	parent     *View
 	parentRows []int
@@ -259,11 +259,6 @@ func (v *View) Narrow(positions []int) (*View, error) {
 	}
 	return &View{store: v.store, rows: rows, parent: v, parentRows: prows}, nil
 }
-
-// Provenance returns the view this one was narrowed from and the
-// position each row of this view had in that parent (aliased, read-only).
-// Views not produced by Narrow return (nil, nil).
-func (v *View) Provenance() (*View, []int) { return v.parent, v.parentRows }
 
 // RowsBetween composes the provenance chain from ancestor down to v:
 // ok reports whether v was produced from ancestor by a chain of Narrow

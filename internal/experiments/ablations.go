@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -10,65 +9,22 @@ import (
 	"innsearch/internal/igrid"
 	"innsearch/internal/knn"
 	"innsearch/internal/metric"
-	"innsearch/internal/parallel"
 	"innsearch/internal/proclus"
 	"innsearch/internal/projnn"
-	"innsearch/internal/stats"
 	"innsearch/internal/synth"
 	"innsearch/internal/user"
 )
 
-// ablationSession runs oracle sessions over a batch of queries with the
-// given session options and returns mean precision and recall of the
-// natural neighbor sets.
-func ablationSession(pd *synth.ProjectedData, queries []int, mutate func(*core.Config), cfg Config) (prec, rec float64, err error) {
-	precs := make([]float64, len(queries))
-	recs := make([]float64, len(queries))
-	err = parallel.For(context.Background(), 0, len(queries), func(ctx context.Context, qi int) error {
-		qp := queries[qi]
-		clusterID := pd.Data.Label(qp)
-		members := pd.Members(clusterID)
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-		}
-		sc := core.Config{
-			Support:            pd.Data.N() / 200,
-			GridSize:           cfg.GridSize,
-			MaxMajorIterations: cfg.MaxIterations,
-			Workers:            cfg.Workers,
-		}
-		if mutate != nil {
-			mutate(&sc)
-		}
-		sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(qp), user.NewOracle(relevant), sc)
-		if err != nil {
-			return err
-		}
-		res, err := sess.RunContext(ctx)
-		if err != nil {
-			return err
-		}
-		nat := res.NaturalNeighbors()
-		got := make([]int, len(nat))
-		for i, nb := range nat {
-			got[i] = nb.ID
-		}
-		r := stats.EvalRetrieval(got, relevant)
-		precs[qi] = r.Precision()
-		recs[qi] = r.Recall()
-		return nil
-	})
+// addOracleRow runs the queries' oracle sessions (runOracle) and appends
+// the leading cells plus the mean precision and recall to t.
+func addOracleRow(t *Table, pd *synth.ProjectedData, queries []int, sc core.Config, hook func(*oracleQuery), cells ...string) error {
+	outcomes, err := runOracle(pd.Data, queries, sc, hook)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	var psum, rsum float64
-	for i := range precs {
-		psum += precs[i]
-		rsum += recs[i]
-	}
-	k := float64(len(queries))
-	return psum / k, rsum / k, nil
+	p, r := meanPR(outcomes)
+	t.AddRow(append(cells, pct(p), pct(r))...)
+	return nil
 }
 
 // RunAblationAxisParallel compares axis-parallel against arbitrary
@@ -90,21 +46,19 @@ func RunAblationAxisParallel(cfg Config) (*Table, error) {
 		{"Synthetic 1", synth.Case1, 31},
 		{"Synthetic 2", synth.Case2, 32},
 	} {
-		rng := rand.New(rand.NewSource(cfg.Seed + spec.off))
-		pd, err := spec.gen(cfg.N, rng)
+		pd, queries, err := workload(cfg, spec.gen, spec.off)
 		if err != nil {
 			return nil, err
 		}
-		queries := pickQueries(pd, cfg.Queries, rng)
 		for _, mode := range []struct {
 			name string
 			m    core.ProjectionMode
 		}{{"axis-parallel", core.ModeAxis}, {"arbitrary", core.ModeArbitrary}} {
-			p, r, err := ablationSession(pd, queries, func(c *core.Config) { c.Mode = mode.m }, cfg)
-			if err != nil {
+			sc := sessionConfig(cfg, pd.Data.N())
+			sc.Mode = mode.m
+			if err := addOracleRow(t, pd, queries, sc, nil, spec.name, mode.name); err != nil {
 				return nil, err
 			}
-			t.AddRow(spec.name, mode.name, pct(p), pct(r))
 		}
 	}
 	return t, nil
@@ -118,12 +72,10 @@ func RunAblationAxisParallel(cfg Config) (*Table, error) {
 // where each stage estimates variance ratios from few points.
 func RunAblationGrading(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 33))
-	pd, err := synth.Case2(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case2, 33)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: graded subspace determination vs direct 2-D pick",
 		Caption: "(Synthetic 2; gradual refinement of Figure 3 vs one-step selection, × stage-support floor)",
@@ -137,14 +89,12 @@ func RunAblationGrading(cfg Config) (*Table, error) {
 			name    string
 			disable bool
 		}{{"graded (paper)", false}, {"direct 2-D", true}} {
-			p, r, err := ablationSession(pd, queries, func(c *core.Config) {
-				c.DisableGrading = mode.disable
-				c.StageSupportFactor = stage.factor
-			}, cfg)
-			if err != nil {
+			sc := sessionConfig(cfg, pd.Data.N())
+			sc.DisableGrading = mode.disable
+			sc.StageSupportFactor = stage.factor
+			if err := addOracleRow(t, pd, queries, sc, nil, mode.name, stage.name); err != nil {
 				return nil, err
 			}
-			t.AddRow(mode.name, stage.name, pct(p), pct(r))
 		}
 	}
 	return t, nil
@@ -169,21 +119,19 @@ func RunAblationMode(cfg Config) (*Table, error) {
 		{"Synthetic 1", synth.Case1, 38},
 		{"Synthetic 2", synth.Case2, 39},
 	} {
-		rng := rand.New(rand.NewSource(cfg.Seed + spec.off))
-		pd, err := spec.gen(cfg.N, rng)
+		pd, queries, err := workload(cfg, spec.gen, spec.off)
 		if err != nil {
 			return nil, err
 		}
-		queries := pickQueries(pd, cfg.Queries, rng)
 		for _, mode := range []struct {
 			name string
 			m    core.ProjectionMode
 		}{{"axis", core.ModeAxis}, {"arbitrary", core.ModeArbitrary}, {"auto", core.ModeAuto}} {
-			p, r, err := ablationSession(pd, queries, func(c *core.Config) { c.Mode = mode.m }, cfg)
-			if err != nil {
+			sc := sessionConfig(cfg, pd.Data.N())
+			sc.Mode = mode.m
+			if err := addOracleRow(t, pd, queries, sc, nil, spec.name, mode.name); err != nil {
 				return nil, err
 			}
-			t.AddRow(spec.name, mode.name, pct(p), pct(r))
 		}
 	}
 	return t, nil
@@ -194,59 +142,23 @@ func RunAblationMode(cfg Config) (*Table, error) {
 // each view's discrimination score.
 func RunAblationWeighting(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 40))
-	pd, err := synth.Case1(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case1, 40)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: per-projection importance weights w_i (§2.3)",
 		Caption: "(Synthetic 1, axis-parallel; uniform w_i=1 vs w_i = view discrimination)",
 		Header:  []string{"Weighting", "Precision", "Recall"},
 	}
-	for _, weighted := range []bool{false, true} {
-		var psum, rsum float64
-		for _, qp := range queries {
-			clusterID := pd.Data.Label(qp)
-			members := pd.Members(clusterID)
-			relevant := make([]int, len(members))
-			for i, m := range members {
-				relevant[i] = pd.Data.ID(m)
-			}
-			var u core.User = user.NewOracle(relevant)
-			if weighted {
-				u = &user.QualityWeighted{Base: u}
-			}
-			sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(qp), u, core.Config{
-				Support:            pd.Data.N() / 200,
-				Mode:               core.ModeAxis,
-				GridSize:           cfg.GridSize,
-				MaxMajorIterations: cfg.MaxIterations,
-				Workers:            cfg.Workers,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := sess.Run()
-			if err != nil {
-				return nil, err
-			}
-			nat := res.NaturalNeighbors()
-			got := make([]int, len(nat))
-			for i, nb := range nat {
-				got[i] = nb.ID
-			}
-			r := stats.EvalRetrieval(got, relevant)
-			psum += r.Precision()
-			rsum += r.Recall()
-		}
-		k := float64(len(queries))
-		name := "uniform (w=1)"
-		if weighted {
-			name = "discrimination-weighted"
-		}
-		t.AddRow(name, pct(psum/k), pct(rsum/k))
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
+	if err := addOracleRow(t, pd, queries, sc, nil, "uniform (w=1)"); err != nil {
+		return nil, err
+	}
+	weighted := func(q *oracleQuery) { q.User = &user.QualityWeighted{Base: q.User} }
+	if err := addOracleRow(t, pd, queries, sc, weighted, "discrimination-weighted"); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -254,27 +166,22 @@ func RunAblationWeighting(cfg Config) (*Table, error) {
 // RunAblationSupport sweeps the support parameter s (§2).
 func RunAblationSupport(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 34))
-	pd, err := synth.Case1(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case1, 34)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: support parameter sweep",
 		Caption: "(Synthetic 1, axis-parallel; support as a fraction of N)",
 		Header:  []string{"Support", "Precision", "Recall"},
 	}
 	for _, frac := range []float64{0.002, 0.005, 0.01, 0.02, 0.05} {
-		s := int(frac * float64(cfg.N))
-		p, r, err := ablationSession(pd, queries, func(c *core.Config) {
-			c.Mode = core.ModeAxis
-			c.Support = s
-		}, cfg)
-		if err != nil {
+		sc := sessionConfig(cfg, pd.Data.N())
+		sc.Mode = core.ModeAxis
+		sc.Support = int(frac * float64(cfg.N))
+		if err := addOracleRow(t, pd, queries, sc, nil, fmt.Sprintf("%.1f%% (%d)", 100*frac, sc.Support)); err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.1f%% (%d)", 100*frac, s), pct(p), pct(r))
 	}
 	return t, nil
 }
@@ -283,12 +190,10 @@ func RunAblationSupport(cfg Config) (*Table, error) {
 // (§2.2): the profile fidelity knobs.
 func RunAblationGrid(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 35))
-	pd, err := synth.Case1(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case1, 35)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: density grid resolution and kernel bandwidth",
 		Caption: "(Synthetic 1, axis-parallel)",
@@ -296,15 +201,13 @@ func RunAblationGrid(cfg Config) (*Table, error) {
 	}
 	for _, p := range []int{16, 32, 64} {
 		for _, bw := range []float64{0.5, 1, 2} {
-			pr, rc, err := ablationSession(pd, queries, func(c *core.Config) {
-				c.Mode = core.ModeAxis
-				c.GridSize = p
-				c.BandwidthScale = bw
-			}, cfg)
-			if err != nil {
+			sc := sessionConfig(cfg, pd.Data.N())
+			sc.Mode = core.ModeAxis
+			sc.GridSize = p
+			sc.BandwidthScale = bw
+			if err := addOracleRow(t, pd, queries, sc, nil, fmt.Sprintf("%d", p), fmt.Sprintf("%.1f", bw)); err != nil {
 				return nil, err
 			}
-			t.AddRow(fmt.Sprintf("%d", p), fmt.Sprintf("%.1f", bw), pct(pr), pct(rc))
 		}
 	}
 	return t, nil
@@ -314,63 +217,35 @@ func RunAblationGrid(cfg Config) (*Table, error) {
 // wrapped in random skips and separator jitter.
 func RunAblationNoise(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 36))
-	pd, err := synth.Case1(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case1, 36)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: robustness to user sloppiness",
 		Caption: "(Synthetic 1, axis-parallel; oracle wrapped in random skips and τ jitter)",
 		Header:  []string{"Skip prob", "τ jitter", "Precision", "Recall"},
 	}
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
 	for _, noise := range []struct{ skip, jitter float64 }{
 		{0, 0}, {0.2, 0.2}, {0.4, 0.4},
 	} {
-		var psum, rsum float64
-		for qi, qp := range queries {
-			clusterID := pd.Data.Label(qp)
-			members := pd.Members(clusterID)
-			relevant := make([]int, len(members))
-			for i, m := range members {
-				relevant[i] = pd.Data.ID(m)
-			}
-			var u core.User = user.NewOracle(relevant)
-			if noise.skip > 0 || noise.jitter > 0 {
-				u = &user.Noisy{
-					Base:      u,
+		var hook func(*oracleQuery)
+		if noise.skip > 0 || noise.jitter > 0 {
+			hook = func(q *oracleQuery) {
+				q.User = &user.Noisy{
+					Base:      q.User,
 					SkipProb:  noise.skip,
 					TauJitter: noise.jitter,
-					Rng:       rand.New(rand.NewSource(cfg.Seed + int64(qi))),
+					Rng:       rand.New(rand.NewSource(cfg.Seed + int64(q.Index))),
 				}
 			}
-			sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(qp), u, core.Config{
-				Support:            pd.Data.N() / 200,
-				Mode:               core.ModeAxis,
-				GridSize:           cfg.GridSize,
-				MaxMajorIterations: cfg.MaxIterations,
-				Workers:            cfg.Workers,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := sess.Run()
-			if err != nil {
-				return nil, err
-			}
-			nat := res.NaturalNeighbors()
-			got := make([]int, len(nat))
-			for i, nb := range nat {
-				got[i] = nb.ID
-			}
-			r := stats.EvalRetrieval(got, relevant)
-			psum += r.Precision()
-			rsum += r.Recall()
 		}
-		k := float64(len(queries))
-		t.AddRow(fmt.Sprintf("%.0f%%", 100*noise.skip), fmt.Sprintf("%.0f%%", 100*noise.jitter),
-			pct(psum/k), pct(rsum/k))
+		if err := addOracleRow(t, pd, queries, sc, hook,
+			fmt.Sprintf("%.0f%%", 100*noise.skip), fmt.Sprintf("%.0f%%", 100*noise.jitter)); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -382,12 +257,10 @@ func RunAblationNoise(cfg Config) (*Table, error) {
 // interactive system determines its own natural size.
 func RunAblationAutomated(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 37))
-	pd, err := synth.Case1(cfg.N, rng)
+	pd, queries, err := workload(cfg, synth.Case1, 37)
 	if err != nil {
 		return nil, err
 	}
-	queries := pickQueries(pd, cfg.Queries, rng)
 	t := &Table{
 		Title:   "Ablation: interactive system vs automated baselines",
 		Caption: "(Synthetic 1; baselines get k = true cluster size, and relevance feedback additionally gets exact per-item relevance labels every round — far stronger supervision than density views. The interactive system alone determines its own k and diagnoses meaninglessness.)",
@@ -395,73 +268,10 @@ func RunAblationAutomated(cfg Config) (*Table, error) {
 	}
 
 	// Interactive.
-	ip, ir, err := ablationSession(pd, queries, func(c *core.Config) { c.Mode = core.ModeAxis }, cfg)
-	if err != nil {
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
+	if err := addOracleRow(t, pd, queries, sc, nil, "interactive (oracle user)"); err != nil {
 		return nil, err
-	}
-	t.AddRow("interactive (oracle user)", pct(ip), pct(ir))
-
-	// Automated single-projection (projnn) and full-dimensional L2.
-	var pp, prr, lp, lr float64
-	for _, qp := range queries {
-		clusterID := pd.Data.Label(qp)
-		members := pd.Members(clusterID)
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-		}
-		query := pd.Data.PointCopy(qp)
-		k := len(relevant)
-
-		res, err := projnn.Search(pd.Data, query, projnn.Config{K: k, AxisParallel: true})
-		if err != nil {
-			return nil, err
-		}
-		got := make([]int, len(res.Neighbors))
-		for i, nb := range res.Neighbors {
-			got[i] = nb.ID
-		}
-		r := stats.EvalRetrieval(got, relevant)
-		pp += r.Precision()
-		prr += r.Recall()
-
-		nbrs, err := knn.Search(pd.Data, query, k, metric.Euclidean{})
-		if err != nil {
-			return nil, err
-		}
-		got = got[:0]
-		for _, nb := range nbrs {
-			got = append(got, nb.ID)
-		}
-		r = stats.EvalRetrieval(got, relevant)
-		lp += r.Precision()
-		lr += r.Recall()
-	}
-	// Relevance feedback ([22, 28]-style: Rocchio + inverse-spread
-	// reweighting), judged by the same ground truth the oracle user sees.
-	var fp, fr float64
-	for _, qp := range queries {
-		clusterID := pd.Data.Label(qp)
-		members := pd.Members(clusterID)
-		relSet := make(map[int]bool, len(members))
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-			relSet[pd.Data.ID(m)] = true
-		}
-		res, err := feedback.Run(pd.Data, pd.Data.PointCopy(qp),
-			func(id int) bool { return relSet[id] },
-			feedback.Config{K: len(relevant), Rounds: 3})
-		if err != nil {
-			return nil, err
-		}
-		got := make([]int, len(res.Neighbors))
-		for i, nb := range res.Neighbors {
-			got[i] = nb.ID
-		}
-		r := stats.EvalRetrieval(got, relevant)
-		fp += r.Precision()
-		fr += r.Recall()
 	}
 
 	// IGrid-style data-driven proximity ([6]): equi-depth banding with
@@ -470,27 +280,6 @@ func RunAblationAutomated(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gp, gr float64
-	for _, qp := range queries {
-		clusterID := pd.Data.Label(qp)
-		members := pd.Members(clusterID)
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-		}
-		nbrs, err := gidx.Search(pd.Data.PointCopy(qp), len(relevant))
-		if err != nil {
-			return nil, err
-		}
-		got := make([]int, len(nbrs))
-		for i, nb := range nbrs {
-			got[i] = nb.ID
-		}
-		r := stats.EvalRetrieval(got, relevant)
-		gp += r.Precision()
-		gr += r.Recall()
-	}
-
 	// Projected clustering ([1]-style PROCLUS): cluster once, then answer
 	// each query with its cluster's members.
 	prc, err := proclus.Run(pd.Data, proclus.Config{
@@ -501,32 +290,74 @@ func RunAblationAutomated(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cp, cr float64
+
+	// Each baseline retrieves k = true cluster size and is scored against
+	// the same ground truth the oracle user sees.
+	var projSum, l2Sum, fbSum, gridSum, clusSum prSum
 	for _, qp := range queries {
-		clusterID := pd.Data.Label(qp)
-		members := pd.Members(clusterID)
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-		}
-		cl, err := prc.QueryCluster(pd.Data, pd.Data.PointCopy(qp))
+		truth := synth.ClusterIDs(pd.Data, qp)
+		query := pd.Data.PointCopy(qp)
+		k := len(truth)
+
+		// Automated single-projection search.
+		pres, err := projnn.Search(pd.Data, query, projnn.Config{K: k, AxisParallel: true})
 		if err != nil {
 			return nil, err
 		}
-		got := make([]int, len(cl.Members))
+		projSum.add(knnIDs(pres.Neighbors), truth)
+
+		nbrs, err := knn.Search(pd.Data, query, k, metric.Euclidean{})
+		if err != nil {
+			return nil, err
+		}
+		l2Sum.add(knnIDs(nbrs), truth)
+
+		// Relevance feedback ([22, 28]-style: Rocchio + inverse-spread
+		// reweighting), judged by the ground truth.
+		relSet := make(map[int]bool, k)
+		for _, id := range truth {
+			relSet[id] = true
+		}
+		fres, err := feedback.Run(pd.Data, query, func(id int) bool { return relSet[id] },
+			feedback.Config{K: k, Rounds: 3})
+		if err != nil {
+			return nil, err
+		}
+		fbSum.add(knnIDs(fres.Neighbors), truth)
+
+		gnbrs, err := gidx.Search(query, k)
+		if err != nil {
+			return nil, err
+		}
+		got := make([]int, len(gnbrs))
+		for i, nb := range gnbrs {
+			got[i] = nb.ID
+		}
+		gridSum.add(got, truth)
+
+		cl, err := prc.QueryCluster(pd.Data, query)
+		if err != nil {
+			return nil, err
+		}
+		got = make([]int, len(cl.Members))
 		for i, m := range cl.Members {
 			got[i] = pd.Data.ID(m)
 		}
-		r := stats.EvalRetrieval(got, relevant)
-		cp += r.Precision()
-		cr += r.Recall()
+		clusSum.add(got, truth)
 	}
 
-	q := float64(len(queries))
-	t.AddRow("projected NN (1 projection)", pct(pp/q), pct(prr/q))
-	t.AddRow("relevance feedback (Rocchio)", pct(fp/q), pct(fr/q))
-	t.AddRow("IGrid proximity", pct(gp/q), pct(gr/q))
-	t.AddRow("projected clustering (PROCLUS)", pct(cp/q), pct(cr/q))
-	t.AddRow("full-dimensional L2 k-NN", pct(lp/q), pct(lr/q))
+	for _, b := range []struct {
+		name string
+		sum  prSum
+	}{
+		{"projected NN (1 projection)", projSum},
+		{"relevance feedback (Rocchio)", fbSum},
+		{"IGrid proximity", gridSum},
+		{"projected clustering (PROCLUS)", clusSum},
+		{"full-dimensional L2 k-NN", l2Sum},
+	} {
+		p, r := b.sum.mean(len(queries))
+		t.AddRow(b.name, pct(p), pct(r))
+	}
 	return t, nil
 }

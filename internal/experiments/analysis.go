@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"innsearch/internal/contrast"
 	"innsearch/internal/core"
@@ -39,11 +37,13 @@ func RunSteepDrop(cfg Config) (*SteepDropResult, error) {
 		return nil, err
 	}
 	members := pd.Members(0)
-	queryPos := members[rng.Intn(len(members))]
-	oc, err := runOracleQuery(context.Background(), pd, queryPos, true, cfg)
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
+	outcomes, err := runOracle(pd.Data, []int{members[rng.Intn(len(members))]}, sc, nil)
 	if err != nil {
 		return nil, err
 	}
+	oc := outcomes[0]
 	res := &SteepDropResult{
 		NaturalSize: oc.NaturalSize,
 		TrueSize:    oc.TrueSize,
@@ -88,18 +88,10 @@ func RunDiagnosis(cfg Config) (*DiagnosisResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	members := pd.Members(1)
-	relevant := make([]int, len(members))
-	for i, m := range members {
-		relevant[i] = pd.Data.ID(m)
-	}
-	sessC, err := core.NewSession(pd.Data, pd.Data.PointCopy(members[0]), user.NewOracle(relevant), core.Config{
-		Support:            pd.Data.N() / 200,
-		Mode:               core.ModeAxis,
-		GridSize:           cfg.GridSize,
-		MaxMajorIterations: cfg.MaxIterations,
-		Workers:            cfg.Workers,
-	})
+	queryPos := pd.Members(1)[0]
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
+	sessC, err := core.NewSession(pd.Data, pd.Data.PointCopy(queryPos), user.NewOracle(synth.ClusterIDs(pd.Data, queryPos)), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +104,8 @@ func RunDiagnosis(cfg Config) (*DiagnosisResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sessU, err := core.NewSession(uni, uni.PointCopy(0), &user.Heuristic{}, core.Config{
-		Support:            uni.Dim() + 10,
-		Mode:               core.ModeAxis,
-		GridSize:           cfg.GridSize,
-		MaxMajorIterations: cfg.MaxIterations,
-		Workers:            cfg.Workers,
-	})
+	sc.Support = uni.Dim() + 10
+	sessU, err := core.NewSession(uni, uni.PointCopy(0), &user.Heuristic{}, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -201,15 +188,4 @@ func prefixCols(ds *dataset.Dataset, d int) (*dataset.Dataset, error) {
 		rows[i] = append([]float64(nil), ds.Point(i)[:d]...)
 	}
 	return dataset.New(rows, nil)
-}
-
-// SortedProbabilities extracts the descending meaningfulness values of a
-// result — the curve whose steep drop the analysis tables describe.
-func SortedProbabilities(res *core.Result) []float64 {
-	vals := make([]float64, 0, len(res.Probabilities))
-	for _, p := range res.Probabilities {
-		vals = append(vals, p)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-	return vals
 }

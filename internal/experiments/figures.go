@@ -186,10 +186,6 @@ func RunFigure1011(cfg Config) (*Table, error) {
 	}
 	members := pd.Members(0)
 	queryPos := members[rng.Intn(len(members))]
-	relevant := make([]int, len(members))
-	for i, m := range members {
-		relevant[i] = pd.Data.ID(m)
-	}
 
 	t := &Table{
 		Title:   "Figures 10-11: Gradation of projection quality across minor iterations",
@@ -204,14 +200,11 @@ func RunFigure1011(cfg Config) (*Table, error) {
 			answered = append(answered, !d.Skip)
 		}
 	}}
-	sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(queryPos), user.NewOracle(relevant), core.Config{
-		Support:            pd.Data.N() / 200,
-		Mode:               core.ModeAxis,
-		GridSize:           cfg.GridSize,
-		MaxMajorIterations: 1,
-		Workers:            cfg.Workers,
-		Observer:           obs,
-	})
+	sc := sessionConfig(cfg, pd.Data.N())
+	sc.Mode = core.ModeAxis
+	sc.MaxMajorIterations = 1
+	sc.Observer = obs
+	sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(queryPos), user.NewOracle(synth.ClusterIDs(pd.Data, queryPos)), sc)
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"innsearch/internal/core"
 	"innsearch/internal/knn"
 	"innsearch/internal/metric"
-	"innsearch/internal/parallel"
-	"innsearch/internal/stats"
 	"innsearch/internal/synth"
-	"innsearch/internal/user"
 )
 
 // RunSanityFullDim checks the benign case the paper's critique does NOT
@@ -37,77 +33,39 @@ func RunSanityFullDim(cfg Config) (*Table, error) {
 	for i := range queries {
 		queries[i] = rng.Intn(ds.N())
 	}
-	type row struct {
-		interPrec, interRec, l2Prec, l2Rec float64
-		meaningful                         bool
-	}
-	rows := make([]row, len(queries))
-	err = parallel.For(context.Background(), 0, len(queries), func(ctx context.Context, qi int) error {
-		qrow := queries[qi]
-		truth := ds.Label(qrow)
-		var relevant []int
-		for i := 0; i < ds.N(); i++ {
-			if ds.Label(i) == truth {
-				relevant = append(relevant, ds.ID(i))
-			}
-		}
-		sess, err := core.NewSession(ds, ds.PointCopy(qrow), user.NewOracle(relevant), core.Config{
-			Support:            len(relevant),
-			Mode:               core.ModeAxis,
-			GridSize:           cfg.GridSize,
-			MaxMajorIterations: cfg.MaxIterations,
-			Workers:            cfg.Workers,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := sess.RunContext(ctx)
-		if err != nil {
-			return err
-		}
-		nat := res.NaturalNeighbors()
-		got := make([]int, len(nat))
-		for i, nb := range nat {
-			got[i] = nb.ID
-		}
-		r := stats.EvalRetrieval(got, relevant)
-		rows[qi].interPrec, rows[qi].interRec = r.Precision(), r.Recall()
-		rows[qi].meaningful = res.Diagnosis.Meaningful
-
-		nbrs, err := knn.Search(ds, ds.PointCopy(qrow), len(relevant), metric.Euclidean{})
-		if err != nil {
-			return err
-		}
-		got = got[:0]
-		for _, nb := range nbrs {
-			got = append(got, nb.ID)
-		}
-		r = stats.EvalRetrieval(got, relevant)
-		rows[qi].l2Prec, rows[qi].l2Rec = r.Precision(), r.Recall()
-		return nil
-	})
+	// The support is the query's true cluster size, so the interactive
+	// and the L2 answers are the same size.
+	sc := sessionConfig(cfg, ds.N())
+	sc.Mode = core.ModeAxis
+	outcomes, err := runOracle(ds, queries, sc, func(q *oracleQuery) { q.Config.Support = len(q.Truth) })
 	if err != nil {
 		return nil, err
 	}
-
-	var ip, ir, lp, lr float64
+	ip, ir := meanPR(outcomes)
 	meaningful := 0
-	for _, r := range rows {
-		ip += r.interPrec
-		ir += r.interRec
-		lp += r.l2Prec
-		lr += r.l2Rec
-		if r.meaningful {
+	for _, oc := range outcomes {
+		if oc.Meaningful {
 			meaningful++
 		}
 	}
-	q := float64(len(rows))
+
+	var l2 prSum
+	for _, qrow := range queries {
+		truth := synth.ClusterIDs(ds, qrow)
+		nbrs, err := knn.Search(ds, ds.PointCopy(qrow), len(truth), metric.Euclidean{})
+		if err != nil {
+			return nil, err
+		}
+		l2.add(knnIDs(nbrs), truth)
+	}
+	lp, lr := l2.mean(len(queries))
+
 	t := &Table{
 		Title:   "Sanity: benign full-dimensional clusters (no-harm check)",
 		Caption: fmt.Sprintf("(Gaussian mixture, N=%d, d=16, k=%d; the interactive system must agree with L2 here, not invent a problem)", n, k),
 		Header:  []string{"Method", "Precision", "Recall", "Meaningful sessions"},
 	}
-	t.AddRow("interactive (oracle user)", pct(ip/q), pct(ir/q), fmt.Sprintf("%d/%d", meaningful, len(rows)))
-	t.AddRow("full-dimensional L2 k-NN", pct(lp/q), pct(lr/q), "-")
+	t.AddRow("interactive (oracle user)", pct(ip), pct(ir), fmt.Sprintf("%d/%d", meaningful, len(queries)))
+	t.AddRow("full-dimensional L2 k-NN", pct(lp), pct(lr), "-")
 	return t, nil
 }

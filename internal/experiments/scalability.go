@@ -35,20 +35,13 @@ func RunScalability(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		members := pd.Members(0)
-		relevant := make([]int, len(members))
-		for i, m := range members {
-			relevant[i] = pd.Data.ID(m)
-		}
-		sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(members[0]), user.NewOracle(relevant), core.Config{
-			Support:            shape.n / 200,
-			Mode:               core.ModeAxis,
-			GridSize:           cfg.GridSize,
-			MaxMajorIterations: 2,
-			MinMajorIterations: 2,
-			OverlapThreshold:   1.01, // force both iterations for stable timing
-			Workers:            cfg.Workers,
-		})
+		queryPos := pd.Members(0)[0]
+		sc := sessionConfig(cfg, shape.n)
+		sc.Mode = core.ModeAxis
+		sc.MaxMajorIterations = 2
+		sc.MinMajorIterations = 2
+		sc.OverlapThreshold = 1.01 // force both iterations for stable timing
+		sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(queryPos), user.NewOracle(synth.ClusterIDs(pd.Data, queryPos)), sc)
 		if err != nil {
 			return nil, err
 		}

@@ -1,94 +1,29 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"innsearch/internal/core"
-	"innsearch/internal/parallel"
-	"innsearch/internal/stats"
 	"innsearch/internal/synth"
-	"innsearch/internal/user"
 )
 
-// QueryOutcome records one interactive search against ground truth.
-type QueryOutcome struct {
-	Cluster     int
-	TrueSize    int
-	NaturalSize int
-	Meaningful  bool
-	Precision   float64
-	Recall      float64
-	Hits        int
-	Iterations  int
-}
-
-// runOracleQuery runs a full interactive session for the query at row
-// queryPos of pd.Data, with an oracle user for the query's cluster, and
-// scores the natural neighbors against the cluster.
-func runOracleQuery(ctx context.Context, pd *synth.ProjectedData, queryPos int, axisParallel bool, cfg Config) (QueryOutcome, error) {
-	clusterID := pd.Data.Label(queryPos)
-	members := pd.Members(clusterID)
-	relevant := make([]int, len(members))
-	for i, m := range members {
-		relevant[i] = pd.Data.ID(m)
-	}
-	oracle := user.NewOracle(relevant)
-
-	// The paper sets the support to 0.5% of the data for the synthetic
-	// experiments (§4.1); the session raises it to d when smaller.
-	support := pd.Data.N() / 200
-
-	mode := core.ModeArbitrary
-	if axisParallel {
-		mode = core.ModeAxis
-	}
-	sess, err := core.NewSession(pd.Data, pd.Data.PointCopy(queryPos), oracle, core.Config{
-		Support:            support,
-		Mode:               mode,
-		GridSize:           cfg.GridSize,
-		MaxMajorIterations: cfg.MaxIterations,
-		Workers:            cfg.Workers,
-	})
+// workload generates a synthetic dataset from cfg.Seed+seedOff and picks
+// cfg.Queries query rows spread across its clusters, always from inside
+// a cluster (the paper's protocol isolates clusters containing the query
+// point).
+func workload(cfg Config, gen func(int, *rand.Rand) (*synth.ProjectedData, error), seedOff int64) (*synth.ProjectedData, []int, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed + seedOff))
+	pd, err := gen(cfg.N, rng)
 	if err != nil {
-		return QueryOutcome{}, fmt.Errorf("experiments: session: %w", err)
+		return nil, nil, err
 	}
-	res, err := sess.RunContext(ctx)
-	if err != nil {
-		return QueryOutcome{}, fmt.Errorf("experiments: run: %w", err)
+	queries := make([]int, cfg.Queries)
+	for i := range queries {
+		members := pd.Members(i % len(pd.Sizes))
+		queries[i] = members[rng.Intn(len(members))]
 	}
-	out := QueryOutcome{
-		Cluster:    clusterID,
-		TrueSize:   len(relevant),
-		Meaningful: res.Diagnosis.Meaningful,
-		Iterations: res.Iterations,
-	}
-	nat := res.NaturalNeighbors()
-	out.NaturalSize = len(nat)
-	got := make([]int, len(nat))
-	for i, nb := range nat {
-		got[i] = nb.ID
-	}
-	r := stats.EvalRetrieval(got, relevant)
-	out.Precision = r.Precision()
-	out.Recall = r.Recall()
-	out.Hits = r.Hits
-	return out, nil
-}
-
-// pickQueries chooses q query rows spread across the clusters of pd,
-// always from inside a cluster (the paper's protocol isolates clusters
-// containing the query point).
-func pickQueries(pd *synth.ProjectedData, q int, rng *rand.Rand) []int {
-	clusters := len(pd.Sizes)
-	var out []int
-	for i := 0; i < q; i++ {
-		c := i % clusters
-		members := pd.Members(c)
-		out = append(out, members[rng.Intn(len(members))])
-	}
-	return out
+	return pd, queries, nil
 }
 
 // Table1Result carries the per-dataset aggregates of Table 1 plus the
@@ -112,38 +47,26 @@ type Table1Result struct {
 func RunTable1(cfg Config) (*Table1Result, error) {
 	cfg = cfg.withDefaults()
 
-	run := func(gen func(int, *rand.Rand) (*synth.ProjectedData, error), axis bool, seedOff int64) ([]QueryOutcome, float64, float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + seedOff))
-		pd, err := gen(cfg.N, rng)
+	run := func(gen func(int, *rand.Rand) (*synth.ProjectedData, error), mode core.ProjectionMode, seedOff int64) ([]QueryOutcome, float64, float64, error) {
+		pd, queries, err := workload(cfg, gen, seedOff)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		queries := pickQueries(pd, cfg.Queries, rng)
-		outcomes := make([]QueryOutcome, len(queries))
-		if err := parallel.For(context.Background(), 0, len(queries), func(ctx context.Context, i int) error {
-			oc, err := runOracleQuery(ctx, pd, queries[i], axis, cfg)
-			if err != nil {
-				return err
-			}
-			outcomes[i] = oc
-			return nil
-		}); err != nil {
+		sc := sessionConfig(cfg, pd.Data.N())
+		sc.Mode = mode
+		outcomes, err := runOracle(pd.Data, queries, sc, nil)
+		if err != nil {
 			return nil, 0, 0, err
 		}
-		var psum, rsum float64
-		for _, oc := range outcomes {
-			psum += oc.Precision
-			rsum += oc.Recall
-		}
-		k := float64(len(outcomes))
-		return outcomes, psum / k, rsum / k, nil
+		p, r := meanPR(outcomes)
+		return outcomes, p, r, nil
 	}
 
-	case1, p1, r1, err := run(synth.Case1, true, 1)
+	case1, p1, r1, err := run(synth.Case1, core.ModeAxis, 1)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case 1: %w", err)
 	}
-	case2, p2, r2, err := run(synth.Case2, false, 2)
+	case2, p2, r2, err := run(synth.Case2, core.ModeArbitrary, 2)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case 2: %w", err)
 	}

@@ -84,17 +84,12 @@ func classifyDataset(ds *dataset.Dataset, cfg Config, rng *rand.Rand) (l2acc, in
 			return err
 		}
 
-		support := rest.Dim() + 10
-
 		// Interactive: label-blind heuristic session; vote among the
 		// natural neighbors.
-		sess, err := core.NewSession(rest, query, &user.Heuristic{}, core.Config{
-			Support:            support,
-			Mode:               core.ModeAxis,
-			GridSize:           cfg.GridSize,
-			MaxMajorIterations: cfg.MaxIterations,
-			Workers:            cfg.Workers,
-		})
+		sc := sessionConfig(cfg, rest.N())
+		sc.Support = rest.Dim() + 10
+		sc.Mode = core.ModeAxis
+		sess, err := core.NewSession(rest, query, &user.Heuristic{}, sc)
 		if err != nil {
 			return err
 		}
@@ -123,7 +118,7 @@ func classifyDataset(ds *dataset.Dataset, cfg Config, rng *rand.Rand) (l2acc, in
 		if len(votePositions) == 0 {
 			// The user found nothing usable; the system degrades to the
 			// plain L2 neighborhood rather than abstaining.
-			nbrs, err := knn.Search(rest, query, support, metric.Euclidean{})
+			nbrs, err := knn.Search(rest, query, sc.Support, metric.Euclidean{})
 			if err != nil {
 				return err
 			}
@@ -145,7 +140,7 @@ func classifyDataset(ds *dataset.Dataset, cfg Config, rng *rand.Rand) (l2acc, in
 		// by the natural query cluster size" for both methods.
 		k := len(votePositions)
 		if k == 0 {
-			k = support
+			k = sc.Support
 		}
 		label, err := knn.Classify(rest, query, k, metric.Euclidean{})
 		if err != nil {

@@ -58,9 +58,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a Vector sharing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// RowCopy returns a copy of row i.
-func (m *Matrix) RowCopy(i int) Vector { return m.Row(i).Clone() }
-
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) Vector {
 	v := make(Vector, m.Rows)

@@ -22,11 +22,6 @@ var ErrDimensionMismatch = errors.New("linalg: dimension mismatch")
 // Vector is a dense column vector of float64 components.
 type Vector []float64
 
-// NewVector returns a zero vector of dimension n.
-func NewVector(n int) Vector {
-	return make(Vector, n)
-}
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))

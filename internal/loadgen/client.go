@@ -156,11 +156,6 @@ func (c *Client) Result(ctx context.Context, id string, wait time.Duration) (wir
 	return out, err
 }
 
-// Delete abandons a session.
-func (c *Client) Delete(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, nil)
-}
-
 // Datasets lists the server's preloaded datasets.
 func (c *Client) Datasets(ctx context.Context) (wire.DatasetsResponse, error) {
 	var out wire.DatasetsResponse

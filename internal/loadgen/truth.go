@@ -14,8 +14,6 @@ import (
 // precision/recall scoring without labels ever crossing the wire.
 type Truth struct {
 	ds *dataset.Dataset
-	// byLabel maps each cluster label to the original row IDs carrying it.
-	byLabel map[int][]int
 	// eligible lists the row positions usable as query rows: labeled,
 	// non-outlier points, so every driven session queries from inside a
 	// planted cluster — the paper's protocol.
@@ -26,18 +24,11 @@ type Truth struct {
 // yield a Truth that treats every row as eligible and answers no
 // relevant sets (quality scoring is then skipped).
 func NewTruth(ds *dataset.Dataset) *Truth {
-	t := &Truth{ds: ds, byLabel: make(map[int][]int)}
+	t := &Truth{ds: ds}
 	for i := 0; i < ds.N(); i++ {
-		if !ds.Labeled() {
+		if !ds.Labeled() || ds.Label(i) != synth.OutlierLabel {
 			t.eligible = append(t.eligible, i)
-			continue
 		}
-		l := ds.Label(i)
-		if l == synth.OutlierLabel {
-			continue
-		}
-		t.byLabel[l] = append(t.byLabel[l], ds.ID(i))
-		t.eligible = append(t.eligible, i)
 	}
 	return t
 }
@@ -63,15 +54,6 @@ func (t *Truth) Dim() int { return t.ds.Dim() }
 // EligibleRows returns the row positions sessions may query from.
 func (t *Truth) EligibleRows() []int { return t.eligible }
 
-// RelevantTo returns the ground-truth cluster of the query row: the
-// original IDs sharing its label. Nil for unlabeled data and outliers.
-func (t *Truth) RelevantTo(row int) []int {
-	if !t.ds.Labeled() {
-		return nil
-	}
-	l := t.ds.Label(row)
-	if l == synth.OutlierLabel {
-		return nil
-	}
-	return t.byLabel[l]
-}
+// RelevantTo returns the ground-truth cluster of the query row
+// (synth.ClusterIDs): nil for unlabeled data and outliers.
+func (t *Truth) RelevantTo(row int) []int { return synth.ClusterIDs(t.ds, row) }

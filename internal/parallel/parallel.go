@@ -22,11 +22,20 @@
 // internal/kde) can abort between rows instead of running to completion as
 // orphans. No new indices are claimed after cancellation, and For/ForShards
 // always wait for in-flight calls before returning.
+//
+// # Panics
+//
+// A panic inside fn does not escape the pool: For recovers it on the
+// worker goroutine (or the caller, on the serial path) and treats it as
+// that index's error, "panic: <value>" followed by the stack, so one bad
+// work item fails its fan-out instead of killing the process.
 package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -65,11 +74,12 @@ func Workers(n int) int {
 // observe it and return early, and For waits for all of them either way.
 //
 // On failure For returns the error of the lowest index among the calls
-// that actually ran; if no call failed but ctx was canceled, it returns
-// the context's error. Indices are claimed dynamically (good load balance
-// for uneven work items); determinism must come from fn writing only to
-// its own index-i slot.
-func For(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+// that actually ran; a call that panics fails with its panic's error. If
+// no call failed but ctx was canceled, For returns the context's error.
+// Indices are claimed dynamically (good load balance for uneven work
+// items); determinism must come from fn writing only to its own index-i
+// slot.
+func For(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) (err error) {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -82,6 +92,9 @@ func For(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 		activeWorkers.Add(1)
 		claimed := 0
 		defer func() {
+			if p := recover(); p != nil {
+				err = panicError(p)
+			}
 			activeWorkers.Add(-1)
 			queuedTasks.Add(int64(claimed - n)) // release the unclaimed remainder
 		}()
@@ -118,14 +131,20 @@ func For(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
-			defer wg.Done()
+			i := -1 // the index in flight, for a panic's error
 			activeWorkers.Add(1)
-			defer activeWorkers.Add(-1)
+			defer func() {
+				if p := recover(); p != nil {
+					fail(i, panicError(p))
+				}
+				activeWorkers.Add(-1)
+				wg.Done()
+			}()
 			for {
 				if fctx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -149,6 +168,11 @@ func For(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// panicError is the error of a work item that panicked with value p.
+func panicError(p any) error {
+	return fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 }
 
 // NumShards returns the shard count ForShards uses for the given worker

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -234,4 +235,45 @@ func TestStatsDrainToZero(t *testing.T) {
 		t.Fatalf("serial err = %v", err)
 	}
 	check("serial error path")
+}
+
+func TestForContainsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := For(context.Background(), workers, 8, func(_ context.Context, i int) error {
+			if i == 3 {
+				panic("boom at 3")
+			}
+			return nil
+		})
+		if err == nil || !strings.HasPrefix(err.Error(), "panic: boom at 3\n") {
+			t.Fatalf("workers=%d: err = %v, want the panic of fn(3)", workers, err)
+		}
+		if !strings.Contains(err.Error(), "TestForContainsPanics") {
+			t.Errorf("workers=%d: panic error carries no stack: %v", workers, err)
+		}
+		// A lower failing index still wins over the panic.
+		err = For(context.Background(), workers, 8, func(_ context.Context, i int) error {
+			switch i {
+			case 0:
+				return errors.New("fail at 0")
+			case 3:
+				panic("boom at 3")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail at 0" {
+			t.Fatalf("workers=%d: err = %v, want fail at 0", workers, err)
+		}
+	}
+	if active, queued := Stats(); active != 0 || queued != 0 {
+		t.Fatalf("after panics: active=%d queued=%d, want 0/0", active, queued)
+	}
+}
+
+func TestForSerialDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	fn := func(context.Context, int) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { _ = For(ctx, 1, 64, fn) }); allocs != 0 {
+		t.Fatalf("serial For allocates %.1f times per call", allocs)
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"innsearch/internal/core"
 	"innsearch/internal/dataset"
 	"innsearch/internal/server/wire"
-	"innsearch/internal/user"
 )
 
 // handleSearch runs a non-interactive batch search: one session per query
@@ -79,48 +78,46 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // batchInputs resolves the request's queries and builds one simulated
 // user per query.
 func batchInputs(req wire.SearchRequest, ds *dataset.Dataset) ([][]float64, []core.User, error) {
-	kind := req.User
-	if kind == "" {
-		kind = "heuristic"
-	}
-	if kind != "heuristic" && kind != "oracle" {
-		return nil, nil, fmt.Errorf("unknown user %q (batch search supports heuristic or oracle)", kind)
-	}
+	var queries [][]float64
 	switch {
 	case len(req.Queries) > 0 && len(req.QueryRows) > 0:
 		return nil, nil, errors.New("give queries or query_rows, not both")
 	case len(req.Queries) > 0:
-		if kind == "oracle" {
-			return nil, nil, errors.New("oracle user needs query_rows (relevance comes from the query row's label)")
-		}
-		users := make([]core.User, len(req.Queries))
 		for i, q := range req.Queries {
 			if len(q) != ds.Dim() {
 				return nil, nil, fmt.Errorf("query %d has %d dims, dataset has %d", i, len(q), ds.Dim())
 			}
-			users[i] = &user.Heuristic{}
 		}
-		return req.Queries, users, nil
+		queries = req.Queries
 	case len(req.QueryRows) > 0:
-		queries := make([][]float64, len(req.QueryRows))
-		users := make([]core.User, len(req.QueryRows))
+		queries = make([][]float64, len(req.QueryRows))
 		for i, row := range req.QueryRows {
 			if row < 0 || row >= ds.N() {
 				return nil, nil, fmt.Errorf("query_rows[%d] = %d outside [0, %d)", i, row, ds.N())
 			}
 			queries[i] = ds.PointCopy(row)
-			if kind == "oracle" {
-				u, err := oracleFor(ds, row)
-				if err != nil {
-					return nil, nil, err
-				}
-				users[i] = u
-			} else {
-				users[i] = &user.Heuristic{}
-			}
 		}
-		return queries, users, nil
 	default:
 		return nil, nil, errors.New("missing queries or query_rows")
 	}
+	kind := req.User
+	if kind == "" {
+		kind = "heuristic"
+	}
+	users := make([]core.User, len(queries))
+	for i := range users {
+		var row *int
+		if len(req.QueryRows) > 0 {
+			row = &req.QueryRows[i]
+		}
+		u, err := simulatedUser(kind, ds, row)
+		switch {
+		case errors.Is(err, errUnknownUser):
+			return nil, nil, fmt.Errorf("unknown user %q (batch search supports heuristic or oracle)", kind)
+		case err != nil:
+			return nil, nil, err
+		}
+		users[i] = u
+	}
+	return queries, users, nil
 }

@@ -40,6 +40,7 @@ import (
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
 	"innsearch/internal/server/wire"
+	"innsearch/internal/synth"
 	"innsearch/internal/telemetry"
 	"innsearch/internal/user"
 )
@@ -331,20 +332,32 @@ func resolveQuery(q []float64, row *int, ds *dataset.Dataset) ([]float64, error)
 	}
 }
 
-// oracleFor builds the paper's attentive simulated user from the labels:
-// the rows sharing the query row's label are the ground-truth cluster.
-func oracleFor(ds *dataset.Dataset, row int) (core.User, error) {
-	if !ds.Labeled() {
-		return nil, errors.New("oracle user needs a labeled dataset")
-	}
-	truth := ds.Label(row)
-	var relevant []int
-	for i := 0; i < ds.N(); i++ {
-		if ds.Label(i) == truth {
-			relevant = append(relevant, ds.ID(i))
+// errUnknownUser is simulatedUser's answer for a kind it does not build.
+var errUnknownUser = errors.New("unknown user")
+
+// simulatedUser builds the server-side users that hosted sessions and
+// batch queries share: "heuristic", or "oracle", the paper's attentive
+// user for the ground-truth cluster of the query row (row is nil when
+// the query is a literal vector).
+func simulatedUser(kind string, ds *dataset.Dataset, row *int) (core.User, error) {
+	switch kind {
+	case "heuristic":
+		return &user.Heuristic{}, nil
+	case "oracle":
+		switch {
+		case row == nil:
+			return nil, errors.New("oracle user needs a query row (relevance comes from the query row's label)")
+		case !ds.Labeled():
+			return nil, errors.New("oracle user needs a labeled dataset")
 		}
+		truth := synth.ClusterIDs(ds, *row)
+		if truth == nil {
+			return nil, fmt.Errorf("query row %d has no ground-truth cluster", *row)
+		}
+		return user.NewOracle(truth), nil
+	default:
+		return nil, errUnknownUser
 	}
-	return user.NewOracle(relevant), nil
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -386,27 +399,15 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancelCause(s.base)
 	var remote *user.Remote
 	var u core.User
-	switch req.User {
-	case "", "remote":
+	if req.User == "" || req.User == "remote" {
 		remote = user.NewRemote(ctx, cancel, s.cfg.ViewTimeout)
 		u = remote
-	case "heuristic":
-		u = &user.Heuristic{}
-	case "oracle":
-		if req.QueryRow == nil {
-			cancel(nil)
-			writeError(w, http.StatusBadRequest, "oracle user needs query_row")
-			return
-		}
-		u, err = oracleFor(ds, *req.QueryRow)
-		if err != nil {
-			cancel(nil)
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	default:
+	} else if u, err = simulatedUser(req.User, ds, req.QueryRow); err != nil {
 		cancel(nil)
-		writeError(w, http.StatusBadRequest, "unknown user %q (want remote, heuristic, or oracle)", req.User)
+		if errors.Is(err, errUnknownUser) {
+			err = fmt.Errorf("unknown user %q (want remote, heuristic, or oracle)", req.User)
+		}
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

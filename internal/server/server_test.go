@@ -465,6 +465,48 @@ func TestBatchSearchEndpoint(t *testing.T) {
 	}
 }
 
+// outlierRow returns the last row of the Case 1 test dataset, which is an
+// outlier: synth appends the outliers after the clusters.
+func outlierRow(t *testing.T, ds *dataset.Dataset) int {
+	t.Helper()
+	row := ds.N() - 1
+	if ds.Label(row) != synth.OutlierLabel {
+		t.Fatalf("last row has label %d, want an outlier", ds.Label(row))
+	}
+	return row
+}
+
+func TestCreateOracleSessionRejectsOutlierRow(t *testing.T) {
+	ds := testData(t, 240, 11)
+	_, ts := newTestServer(t, Config{Datasets: map[string]*dataset.Dataset{"test": ds}})
+	c := newClient(t, ts)
+	row := outlierRow(t, ds)
+	var errResp wire.Error
+	code := c.do("POST", "/v1/sessions", wire.CreateSessionRequest{
+		Dataset: "test", QueryRow: &row, User: "oracle",
+		Config: wire.SessionConfig{Mode: "axis", GridSize: 16},
+	}, &errResp)
+	if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "no ground-truth cluster") {
+		t.Fatalf("oracle session on an outlier row: status %d, error %q", code, errResp.Error)
+	}
+}
+
+func TestBatchOracleSearchRejectsOutlierRow(t *testing.T) {
+	ds := testData(t, 240, 11)
+	_, ts := newTestServer(t, Config{Datasets: map[string]*dataset.Dataset{"test": ds}})
+	c := newClient(t, ts)
+	var errResp wire.Error
+	code := c.do("POST", "/v1/search", wire.SearchRequest{
+		Dataset:   "test",
+		QueryRows: []int{3, outlierRow(t, ds)},
+		User:      "oracle",
+		Config:    wire.SessionConfig{Mode: "axis", GridSize: 16, MaxMajorIterations: 1},
+	}, &errResp)
+	if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "no ground-truth cluster") {
+		t.Fatalf("oracle search with an outlier row: status %d, error %q", code, errResp.Error)
+	}
+}
+
 func TestHealthzDatasetsAndValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	c := newClient(t, ts)

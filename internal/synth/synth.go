@@ -85,6 +85,27 @@ func (p *ProjectedData) Members(c int) []int {
 	return out
 }
 
+// ClusterIDs is the ground truth a query at row is scored against: the
+// original IDs of the rows sharing row's label, in ascending row order.
+// It is nil when ds is unlabeled or row is an OutlierLabel row, which
+// belongs to no cluster.
+func ClusterIDs(ds *dataset.Dataset, row int) []int {
+	if !ds.Labeled() {
+		return nil
+	}
+	l := ds.Label(row)
+	if l == OutlierLabel {
+		return nil
+	}
+	var out []int
+	for i := 0; i < ds.N(); i++ {
+		if ds.Label(i) == l {
+			out = append(out, ds.ID(i))
+		}
+	}
+	return out
+}
+
 // GenerateProjectedClusters produces a dataset per the configuration.
 func GenerateProjectedClusters(cfg ProjectedConfig, rng *rand.Rand) (*ProjectedData, error) {
 	if err := cfg.Validate(); err != nil {

@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"innsearch/internal/linalg"
@@ -359,5 +360,43 @@ func TestFromSpec(t *testing.T) {
 		if _, err := FromSpec(bad); err == nil {
 			t.Errorf("FromSpec(%q) should fail", bad)
 		}
+	}
+}
+
+func TestClusterIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pd, err := GenerateProjectedClusters(ProjectedConfig{
+		N: 200, Dim: 6, Clusters: 2, SubspaceDim: 2,
+		OutlierFrac: 0.1, Domain: 10, Spread: 0.5,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 2; c++ {
+		members := pd.Members(c)
+		want := make([]int, len(members))
+		for i, m := range members {
+			want[i] = pd.Data.ID(m)
+		}
+		for _, row := range []int{members[0], members[len(members)-1]} {
+			if got := ClusterIDs(pd.Data, row); !reflect.DeepEqual(got, want) {
+				t.Errorf("cluster %d row %d: got %v, want %v", c, row, got, want)
+			}
+		}
+	}
+	// synth appends the outliers after the clusters.
+	last := pd.Data.N() - 1
+	if pd.Data.Label(last) != OutlierLabel {
+		t.Fatalf("last row label %d, want OutlierLabel", pd.Data.Label(last))
+	}
+	if got := ClusterIDs(pd.Data, last); got != nil {
+		t.Errorf("outlier row has ground truth %v", got)
+	}
+	unlabeled, err := Uniform(50, 3, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ClusterIDs(unlabeled, 0); got != nil {
+		t.Errorf("unlabeled row has ground truth %v", got)
 	}
 }

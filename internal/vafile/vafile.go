@@ -294,13 +294,6 @@ func (idx *Index) SearchContext(ctx context.Context, query []float64, k int) ([]
 	return idx.search(ctx, query, nil, k)
 }
 
-// SearchAxis returns the exact k nearest neighbors of qaxis under L2
-// restricted to the axis-aligned subspace spanned by axes. It is
-// SearchAxisContext with a background context.
-func (idx *Index) SearchAxis(qaxis []float64, axes []int, k int) ([]Neighbor, Stats, error) {
-	return idx.SearchAxisContext(context.Background(), qaxis, axes, k)
-}
-
 // SearchAxisContext runs the same two-phase filter over only the masked
 // dimensions: qaxis[j] is the query coordinate along original attribute
 // axes[j], and both the approximation bounds and the refinement distance
