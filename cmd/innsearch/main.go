@@ -108,17 +108,8 @@ func main() {
 		fatalIf(err)
 	}
 
-	var pmode core.ProjectionMode
-	switch *mode {
-	case "axis":
-		pmode = core.ModeAxis
-	case "arbitrary":
-		pmode = core.ModeArbitrary
-	case "auto":
-		pmode = core.ModeAuto
-	default:
-		fatalIf(fmt.Errorf("unknown mode %q", *mode))
-	}
+	pmode, err := core.ParseMode(*mode)
+	fatalIf(err)
 	cfg := core.Config{
 		Support:            *support,
 		Mode:               pmode,

@@ -70,7 +70,7 @@ func ExampleDiagnose() {
 			probs[i] = 0.05
 		}
 	}
-	d := innsearch.Diagnose(probs, innsearch.DiagnosisConfig{})
+	d := innsearch.Diagnose(probs)
 	fmt.Println(d.Meaningful, d.NaturalSize)
 	// Output:
 	// true 10

@@ -56,9 +56,6 @@ type Dataset = dataset.Dataset
 // defaults.
 type Config = core.Config
 
-// DiagnosisConfig tunes the steep-drop meaningfulness analysis.
-type DiagnosisConfig = core.DiagnosisConfig
-
 // IndexConfig selects a candidate-generation backend for the session's
 // nearest-s scans (Config.Index). The zero value disables candidate
 // generation entirely — the session runs the plain exact scan. Both
@@ -182,16 +179,18 @@ func NewSessionBatch(ds *Dataset, queries [][]float64, users []User, cfg Config)
 // SearchBatch builds and runs a session batch in one call, returning a
 // result and an error per query (index-aligned; exactly one of the two is
 // non-nil for each query). The final error reports batch-level validation
-// failures only. Canceling ctx stops in-flight sessions at their next
-// checkpoint; queries never started report ctx.Err().
+// failures only. A query whose user panics reports the panic as its own
+// error and leaves the other queries running. Canceling ctx stops
+// in-flight sessions at their next checkpoint; queries never started
+// report ctx.Err().
 func SearchBatch(ctx context.Context, ds *Dataset, queries [][]float64, users []User, cfg Config) ([]*Result, []error, error) {
 	return core.SearchBatch(ctx, ds, queries, users, cfg)
 }
 
 // Diagnose runs the steep-drop analysis over per-point meaningfulness
-// probabilities, independent of a session.
-func Diagnose(probs []float64, cfg DiagnosisConfig) Diagnosis {
-	return core.Diagnose(probs, cfg)
+// probabilities, independent of a session. Its thresholds are fixed.
+func Diagnose(probs []float64) Diagnosis {
+	return core.Diagnose(probs)
 }
 
 // NewHeuristicUser returns a simulated user that behaves like unaided

@@ -139,7 +139,7 @@ func TestDiagnoseFacade(t *testing.T) {
 			probs[i] = 0.02
 		}
 	}
-	d := innsearch.Diagnose(probs, innsearch.DiagnosisConfig{})
+	d := innsearch.Diagnose(probs)
 	if !d.Meaningful || d.NaturalSize != 10 {
 		t.Errorf("diagnosis = %+v", d)
 	}

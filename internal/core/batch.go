@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"innsearch/internal/dataset"
 	"innsearch/internal/parallel"
@@ -66,19 +67,25 @@ func (b *SessionBatch) Len() int { return len(b.sessions) }
 // before ctx was canceled report ctx.Err(). The slices are complete at any
 // outcome — exactly one of results[i], errs[i] is non-nil for each i.
 //
-// One query's failure does not cancel its siblings; only ctx does.
+// One query's failure, a panic included, does not cancel its siblings;
+// only ctx does. A panic is reported as that query's "panic: …" error.
 func (b *SessionBatch) RunContext(ctx context.Context) ([]*Result, []error) {
 	results := make([]*Result, len(b.sessions))
 	errs := make([]error, len(b.sessions))
 	copy(errs, b.errs)
-	// fn always returns nil: per-query failures are data, not a reason to
-	// tear down the batch. Cancellation still propagates through ctx.
+	// fn neither returns an error nor panics: per-query failures are
+	// data, not a reason for the pool to cancel the batch. Cancellation
+	// still propagates through ctx.
 	_ = parallel.For(ctx, b.workers, len(b.sessions), func(ctx context.Context, i int) error {
 		if b.sessions[i] == nil {
 			return nil // construction error already recorded
 		}
-		res, err := b.sessions[i].RunContext(ctx)
-		results[i], errs[i] = res, err
+		defer func() {
+			if p := recover(); p != nil {
+				errs[i] = fmt.Errorf("core: batch query %d: panic: %v\n%s", i, p, debug.Stack())
+			}
+		}()
+		results[i], errs[i] = b.sessions[i].RunContext(ctx)
 		return nil
 	})
 	// Entries the pool never reached (canceled context) get ctx.Err() so

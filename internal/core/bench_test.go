@@ -174,7 +174,7 @@ func BenchmarkDiagnose5000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Diagnose(probs, DiagnosisConfig{})
+		_ = Diagnose(probs)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestFindProjectionFastVsExact(t *testing.T) {
 	for _, axis := range []bool{false, true} {
 		base := ProjectionSearch{Support: 25, Graded: true, AxisParallel: axis, Workers: 1}
 		exact := base
-		exact.Exact = true
+		exact.exact = true
 		fastSub, err := FindQueryCenteredProjection(ds, q, base)
 		if err != nil {
 			t.Fatal(err)
@@ -163,11 +163,11 @@ func TestSessionExactProjectionSameResult(t *testing.T) {
 		ds, q := clusteredDataset(t, 300, 40, 16, 7)
 		s, err := NewSession(ds, q, alwaysTauUser(0.3), Config{
 			Support: 20, GridSize: 32, MaxMajorIterations: 3,
-			ExactProjection: exact,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.exactProjection = exact
 		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -64,56 +64,39 @@ func QuantifyMeaningfulness(counts []float64, n int, picks []PickStats) []float6
 	return probs
 }
 
-// DiagnosisConfig tunes the steep-drop analysis of §4. Zero values take
-// the documented defaults.
-type DiagnosisConfig struct {
-	// MinTopProb is the smallest maximum meaningfulness probability for
-	// a result to count as meaningful (default 0.7). Uniform-like data
-	// never concentrates probability on any point, so its maximum stays
-	// low.
-	MinTopProb float64
-	// MinDrop is the smallest steep-drop magnitude that marks a natural
-	// query cluster boundary (default 0.35). The drop is measured over a
-	// short rank window (see DropWindowFrac) rather than between strictly
-	// consecutive values, because a cliff in the sorted probabilities
-	// typically spans a handful of ranks.
-	MinDrop float64
-	// DropWindowFrac sets the drop-measurement window as a fraction of
-	// the number of points, with a minimum of one rank (default 0.05).
-	DropWindowFrac float64
-	// MaxNaturalFrac caps the natural cluster at this fraction of the
-	// data (default 0.5): a "cluster" holding most of the data set
-	// distinguishes nothing.
-	MaxNaturalFrac float64
-	// MinAnsweredFrac is the smallest fraction of shown views the user
+// The steep-drop verdict of §4 is one fixed rule; these are its
+// thresholds. Each use multiplies one of them by a runtime count or
+// compares it with a runtime value. Keep it so: Go folds an expression
+// of two constants exactly, which can round differently from the same
+// expression evaluated in float64.
+const (
+	// minTopProb is the smallest maximum meaningfulness probability for
+	// a result to count as meaningful. Uniform-like data never
+	// concentrates probability on any point, so its maximum stays low.
+	minTopProb = 0.7
+	// minDrop is the smallest steep-drop magnitude that marks a natural
+	// query cluster boundary. The drop is measured over a short rank
+	// window (dropWindowFrac) rather than between strictly consecutive
+	// values, because a cliff in the sorted probabilities typically spans
+	// a handful of ranks.
+	minDrop = 0.35
+	// dropWindowFrac sets the drop-measurement window as a fraction of
+	// the number of points, with a minimum of one rank.
+	dropWindowFrac = 0.05
+	// maxNaturalFrac bounds the rank, as a fraction of the points, at
+	// which the steepest drop may start: a "cluster" holding most of the
+	// data set distinguishes nothing. A cliff within one drop window past
+	// that rank still counts.
+	maxNaturalFrac = 0.5
+	// minAnsweredFrac is the smallest fraction of shown views the user
 	// must have answered (not skipped) for a result to count as
-	// meaningful (default 0.2). On truly noisy data the user cannot find
-	// usable views — exactly the evidence §4.2 of the paper relies on —
-	// so a session answered almost entirely with skips is diagnosed as
-	// not meaningful regardless of the probability profile. The fraction
-	// is applied by the session, which knows the view history; Diagnose
-	// alone cannot enforce it.
-	MinAnsweredFrac float64
-}
-
-func (c DiagnosisConfig) withDefaults() DiagnosisConfig {
-	if c.MinTopProb == 0 {
-		c.MinTopProb = 0.7
-	}
-	if c.MinDrop == 0 {
-		c.MinDrop = 0.35
-	}
-	if c.DropWindowFrac == 0 {
-		c.DropWindowFrac = 0.05
-	}
-	if c.MaxNaturalFrac == 0 {
-		c.MaxNaturalFrac = 0.5
-	}
-	if c.MinAnsweredFrac == 0 {
-		c.MinAnsweredFrac = 0.2
-	}
-	return c
-}
+	// meaningful. On truly noisy data the user cannot find usable views —
+	// exactly the evidence §4.2 of the paper relies on — so a session
+	// answered almost entirely with skips is diagnosed as not meaningful
+	// regardless of the probability profile. Session.finish applies it,
+	// because it knows the view history; Diagnose alone cannot.
+	minAnsweredFrac = 0.2
+)
 
 // Diagnosis is the verdict on whether the nearest neighbors found are
 // meaningful, and if so where the natural query cluster ends (§4.1: the
@@ -137,8 +120,7 @@ type Diagnosis struct {
 
 // Diagnose runs the steep-drop analysis over the (unsorted) per-point
 // meaningfulness probabilities.
-func Diagnose(probs []float64, cfg DiagnosisConfig) Diagnosis {
-	cfg = cfg.withDefaults()
+func Diagnose(probs []float64) Diagnosis {
 	if len(probs) == 0 {
 		return Diagnosis{}
 	}
@@ -147,11 +129,11 @@ func Diagnose(probs []float64, cfg DiagnosisConfig) Diagnosis {
 
 	d := Diagnosis{MaxProb: sorted[0]}
 	n := len(sorted)
-	limit := int(cfg.MaxNaturalFrac * float64(n))
+	limit := int(maxNaturalFrac * float64(n))
 	if limit < 1 {
 		limit = 1
 	}
-	window := int(cfg.DropWindowFrac * float64(n))
+	window := int(dropWindowFrac * float64(n))
 	if window < 1 {
 		window = 1
 	}
@@ -168,7 +150,7 @@ func Diagnose(probs []float64, cfg DiagnosisConfig) Diagnosis {
 		}
 	}
 	d.Drop = bestDrop
-	if d.MaxProb >= cfg.MinTopProb && bestDrop >= cfg.MinDrop {
+	if d.MaxProb >= minTopProb && bestDrop >= minDrop {
 		// The natural cluster extends from the plateau through the top
 		// half of the cliff: everything with probability above
 		// sorted[bestK] − drop/2. Stopping exactly at the cliff top

@@ -178,7 +178,7 @@ func TestDiagnoseSteepDrop(t *testing.T) {
 			probs[i] = 0.05
 		}
 	}
-	d := Diagnose(probs, DiagnosisConfig{})
+	d := Diagnose(probs)
 	if !d.Meaningful {
 		t.Fatal("clear steep drop not detected")
 	}
@@ -200,7 +200,7 @@ func TestDiagnoseUniformNoDrop(t *testing.T) {
 	for i := range probs {
 		probs[i] = r.Float64() * 0.4
 	}
-	d := Diagnose(probs, DiagnosisConfig{})
+	d := Diagnose(probs)
 	if d.Meaningful {
 		t.Errorf("uniform probabilities diagnosed meaningful: %+v", d)
 	}
@@ -215,41 +215,66 @@ func TestDiagnoseHighButGradual(t *testing.T) {
 	for i := range probs {
 		probs[i] = 1 - float64(i)*0.01
 	}
-	d := Diagnose(probs, DiagnosisConfig{})
+	d := Diagnose(probs)
 	if d.Meaningful {
 		t.Errorf("gradual ramp diagnosed meaningful: %+v", d)
 	}
 }
 
 func TestDiagnoseEmptyAndDefaults(t *testing.T) {
-	d := Diagnose(nil, DiagnosisConfig{})
+	d := Diagnose(nil)
 	if d.Meaningful || d.MaxProb != 0 {
 		t.Errorf("empty diagnosis = %+v", d)
 	}
-	// MaxNaturalFrac cap: a cliff past the cap must not count.
-	probs := make([]float64, 100)
-	for i := range probs {
-		if i < 80 {
-			probs[i] = 0.9
-		} else {
+	// The natural-cluster cap (half the points) at its boundary. Below 40
+	// points the drop window is one rank, so a cliff after the top m of 20
+	// points is seen only while m ≤ 10.
+	cliff := func(m int) Diagnosis {
+		probs := make([]float64, 20)
+		for i := range probs {
 			probs[i] = 0.1
+			if i < m {
+				probs[i] = 0.9
+			}
 		}
+		return Diagnose(probs)
 	}
-	d = Diagnose(probs, DiagnosisConfig{MaxNaturalFrac: 0.5})
-	if d.Meaningful {
-		t.Errorf("cliff at 80%% counted as natural cluster: %+v", d)
+	if d := cliff(10); !d.Meaningful || d.NaturalSize != 10 {
+		t.Errorf("cliff at 50%% of the points: %+v, want meaningful with 10", d)
+	}
+	if d := cliff(11); d.Meaningful {
+		t.Errorf("cliff at 55%% of the points counted as natural cluster: %+v", d)
 	}
 }
 
-func TestDiagnoseCustomThresholds(t *testing.T) {
-	probs := []float64{0.6, 0.6, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05}
-	// Default MinTopProb=0.7 rejects.
-	if Diagnose(probs, DiagnosisConfig{}).Meaningful {
-		t.Error("default config should reject max 0.6")
+// TestDiagnoseThresholdBoundaries pins the verdict's top-probability
+// (0.7) and drop (0.35) thresholds at their values: each profile is a
+// plateau of ten points over a floor among 100, so the windowed drop is
+// plateau − floor.
+func TestDiagnoseThresholdBoundaries(t *testing.T) {
+	plateau := func(top, floor float64) Diagnosis {
+		probs := make([]float64, 100)
+		for i := range probs {
+			probs[i] = floor
+			if i < 10 {
+				probs[i] = top
+			}
+		}
+		return Diagnose(probs)
 	}
-	// Relaxed config accepts.
-	d := Diagnose(probs, DiagnosisConfig{MinTopProb: 0.5, MinDrop: 0.3})
-	if !d.Meaningful || d.NaturalSize != 2 {
-		t.Errorf("relaxed diagnosis = %+v", d)
+	// MaxProb is the plateau itself, so the boundary is exact.
+	if d := plateau(0.7, 0); !d.Meaningful || d.NaturalSize != 10 {
+		t.Errorf("max P at 0.7: %+v, want meaningful with 10", d)
+	}
+	if d := plateau(math.Nextafter(0.7, 0), 0); d.Meaningful {
+		t.Errorf("max P just under 0.7 diagnosed meaningful: %+v", d)
+	}
+	// The drop is a difference, so it straddles 0.35 by a margin.
+	const eps = 1e-9
+	if d := plateau(0.9, 0.9-(0.35+eps)); !d.Meaningful || d.NaturalSize != 10 {
+		t.Errorf("drop just over 0.35: %+v, want meaningful with 10", d)
+	}
+	if d := plateau(0.9, 0.9-(0.35-eps)); d.Meaningful {
+		t.Errorf("drop just under 0.35 diagnosed meaningful: %+v", d)
 	}
 }

@@ -8,6 +8,22 @@ import (
 	"innsearch/internal/kde"
 )
 
+// TestParseModeInvertsString checks that every mode's name parses back
+// to it, that "" means ModeArbitrary, and that an unknown name fails.
+func TestParseModeInvertsString(t *testing.T) {
+	for _, m := range []ProjectionMode{ModeArbitrary, ModeAxis, ModeAuto} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if got, err := ParseMode(""); err != nil || got != ModeArbitrary {
+		t.Errorf(`ParseMode("") = %v, %v; want arbitrary`, got, err)
+	}
+	if _, err := ParseMode("Axis"); err == nil {
+		t.Error(`ParseMode("Axis") accepted`)
+	}
+}
+
 func TestModeAutoPicksDiscriminatingFamily(t *testing.T) {
 	// Axis-aligned planted cluster: ModeAuto should behave at least as
 	// well as the best fixed mode on the planted data.

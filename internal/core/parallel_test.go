@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"innsearch/internal/dataset"
@@ -198,6 +199,29 @@ func TestSessionBatchCanceled(t *testing.T) {
 	for i := range errs {
 		if results[i] != nil || errs[i] == nil {
 			t.Fatalf("query %d: want error after cancellation, got result %v, err %v", i, results[i], errs[i])
+		}
+	}
+}
+
+// TestSessionBatchPanicStaysPerQuery checks that a query whose user
+// panics reports that panic as its own error and cancels none of its
+// siblings, at one worker and at two.
+func TestSessionBatchPanicStaysPerQuery(t *testing.T) {
+	ds, q, u := parallelTestData(t, 14)
+	boom := UserFunc(func(*VisualProfile, func(float64) *grid.Region) Decision { panic("boom") })
+	for _, workers := range []int{1, 2} {
+		results, errs, err := SearchBatch(context.Background(), ds,
+			[][]float64{q, q, q}, []User{u, boom, u}, Config{Support: 40, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 2} {
+			if results[i] == nil || errs[i] != nil {
+				t.Errorf("workers=%d query %d: result %v, err %v", workers, i, results[i], errs[i])
+			}
+		}
+		if results[1] != nil || errs[1] == nil || !strings.Contains(errs[1].Error(), "panic: boom") {
+			t.Errorf("workers=%d query 1: result %v, err %v; want a panic error", workers, results[1], errs[1])
 		}
 	}
 }

@@ -252,7 +252,7 @@ func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
 // the view's memoized covariance as the quadratic form uᵀΣu and λᵢ off
 // moments already in hand (the eigenvalues of the member covariance in
 // PCA mode; one pass of member column variances in axis mode), so no
-// per-direction O(n·d) data sweep remains. cfg.Exact restores the
+// per-direction O(n·d) data sweep remains. cfg.exact restores the
 // reference sweeps of Matrix.VarianceAlong bit for bit; the two agree to
 // ≤ 1e-10 relative (pinned by tests).
 func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View, members []int, l int, within *linalg.Subspace, scr *searchScratch) (*linalg.Subspace, error) {
@@ -275,7 +275,7 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 	// iteration, projection family and session that scores directions in
 	// this coordinate system.
 	var fullCov *linalg.Matrix
-	if !cfg.Exact {
+	if !cfg.exact {
 		st, err := cfg.coord.Stats(ctx, v)
 		if err != nil {
 			return nil, fmt.Errorf("core: view stats: %w", err)
@@ -291,7 +291,7 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 	var fastLambda []float64
 	if cfg.AxisParallel {
 		directions = within.Basis()
-		if !cfg.Exact {
+		if !cfg.exact {
 			// Member coordinates inside within via the blocked kernel (a
 			// strided gather whenever within is axis-aligned, which it is
 			// for the whole of axis mode); λⱼ is the variance of column j.
@@ -323,7 +323,7 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		for i, ev := range eig.Vectors {
 			directions[i] = within.Lift(ev)
 		}
-		if !cfg.Exact {
+		if !cfg.exact {
 			// λᵢ is exactly the i-th eigenvalue: the member variance along
 			// eigenvector i of the member covariance. Clamp eigensolver
 			// noise at zero like every variance path does.
@@ -353,7 +353,7 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		u := dir.Clone()
 		var lambda, gamma float64
 		if u.Normalize() != 0 {
-			if cfg.Exact {
+			if cfg.exact {
 				lambda = varianceAlongUnit(v, members, u)
 				gamma = varianceAlongUnit(v, nil, u)
 			} else {
@@ -417,14 +417,14 @@ type ProjectionSearch struct {
 	// variance-ratio evaluation; values ≤ 0 mean GOMAXPROCS. Results are
 	// bit-identical at any worker count.
 	Workers int
-	// Exact disables the covariance-memoization fast path and scores every
-	// candidate direction with the reference O(n·d) variance sweeps
+
+	// exact disables the covariance-memoization fast path and scores
+	// every candidate direction with the reference O(n·d) variance sweeps
 	// (mirroring kde's exact/binned split). The fast path agrees with the
 	// exact sweeps to ≤ 1e-10 relative on the variance values and selects
-	// identical projections on the golden sessions; Exact exists as the
-	// reference for those tests and as an escape hatch for pathological
-	// data. Off (fast) by default.
-	Exact bool
+	// identical projections; exact is the reference the tests compare it
+	// against, and nothing outside them sets it.
+	exact bool
 
 	// trace, when non-nil, carries the owning view's /proj span so
 	// findProjectionDim can open one projection_stage span per halving

@@ -35,6 +35,33 @@ const (
 	ModeAuto
 )
 
+// String names the mode as the wire, the CLI and the session_start
+// event spell it: "arbitrary", "axis" or "auto".
+func (m ProjectionMode) String() string {
+	switch m {
+	case ModeAxis:
+		return "axis"
+	case ModeAuto:
+		return "auto"
+	default:
+		return "arbitrary"
+	}
+}
+
+// ParseMode is the inverse of String. The empty string means
+// ModeArbitrary, the default.
+func ParseMode(s string) (ProjectionMode, error) {
+	switch s {
+	case "", "arbitrary":
+		return ModeArbitrary, nil
+	case "axis":
+		return ModeAxis, nil
+	case "auto":
+		return ModeAuto, nil
+	}
+	return 0, fmt.Errorf("unknown projection mode %q (want arbitrary, axis, or auto)", s)
+}
+
 // Config tunes an interactive search session. Zero values take documented
 // defaults.
 type Config struct {
@@ -57,10 +84,6 @@ type Config struct {
 	// cluster at factor·dim points (default 5; 1 = the paper's literal
 	// pseudocode). See ProjectionSearch.StageFactor.
 	StageSupportFactor int
-	// ExactProjection scores candidate directions with the reference
-	// O(n·d) variance sweeps instead of the memoized-covariance fast path.
-	// See ProjectionSearch.Exact. Off (fast) by default.
-	ExactProjection bool
 	// Graded enables gradual subspace halving (default). Setting
 	// DisableGrading turns it off for ablation.
 	DisableGrading bool
@@ -100,8 +123,6 @@ type Config struct {
 	// of two successive major iterations overlap by at least this
 	// fraction (default 0.9).
 	OverlapThreshold float64
-	// Diagnosis tunes the steep-drop analysis.
-	Diagnosis DiagnosisConfig
 	// Observer, when non-nil, receives progress callbacks.
 	Observer Observer
 	// Tracer, when non-nil, receives typed telemetry events for every
@@ -253,6 +274,10 @@ type Session struct {
 	// so the family must be chosen once per sweep, where both candidates
 	// are cleanest.
 	autoChoice ProjectionMode
+
+	// exactProjection runs the projection search's reference sweeps (see
+	// ProjectionSearch.exact); only tests set it.
+	exactProjection bool
 }
 
 // NewSession validates the inputs and prepares a session. The session
@@ -398,7 +423,7 @@ func (s *Session) traceStart() {
 		Dim:     s.data.Dim(),
 		Workers: s.cfg.Workers,
 		Shards:  s.cfg.Shards,
-		Family:  s.cfg.Mode.traceName(),
+		Family:  s.cfg.Mode.String(),
 	})
 }
 
@@ -422,18 +447,6 @@ func (s *Session) traceEnd(err error) {
 		e.Err = err.Error()
 	}
 	s.root.End(e)
-}
-
-// traceName renders the projection mode for the session_start event.
-func (m ProjectionMode) traceName() string {
-	switch m {
-	case ModeAxis:
-		return "axis"
-	case ModeAuto:
-		return "auto"
-	default:
-		return "arbitrary"
-	}
 }
 
 // Result ranks the current meaningfulness probabilities and diagnoses
@@ -462,7 +475,7 @@ func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) e
 		Graded:      !s.cfg.DisableGrading,
 		StageFactor: s.cfg.StageSupportFactor,
 		Workers:     s.cfg.Workers,
-		Exact:       s.cfg.ExactProjection,
+		exact:       s.exactProjection,
 		gen:         s.gen,
 		coord:       s.coord,
 	}
@@ -796,12 +809,11 @@ func (s *Session) finish(converged bool) *Result {
 	for i, nb := range ranked {
 		values[i] = nb.Probability
 	}
-	diag := Diagnose(values, s.cfg.Diagnosis)
+	diag := Diagnose(values)
 	// A user who skipped nearly every view has declared the data
 	// undiagnosable by inspection; the probability profile alone (often
 	// just the query's own trivial coherence) must not override that.
-	minAnswered := s.cfg.Diagnosis.withDefaults().MinAnsweredFrac
-	if s.viewsShown > 0 && float64(s.viewsAnswered) < minAnswered*float64(s.viewsShown) {
+	if s.viewsShown > 0 && float64(s.viewsAnswered) < minAnsweredFrac*float64(s.viewsShown) {
 		diag.Meaningful = false
 		diag.NaturalSize = 0
 		diag.Threshold = 0

@@ -31,7 +31,7 @@ func TestViewScanParity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{1, 4} {
 				for _, backend := range []string{"", "vafile"} {
-					name := fmt.Sprintf("%s/w%d/p%d/%q", mode.traceName(), workers, shards, backend)
+					name := fmt.Sprintf("%s/w%d/p%d/%q", mode, workers, shards, backend)
 					var s *Session
 					var dc *dataset.View
 					var qc linalg.Vector

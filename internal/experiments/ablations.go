@@ -123,13 +123,10 @@ func RunAblationMode(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range []struct {
-			name string
-			m    core.ProjectionMode
-		}{{"axis", core.ModeAxis}, {"arbitrary", core.ModeArbitrary}, {"auto", core.ModeAuto}} {
+		for _, mode := range []core.ProjectionMode{core.ModeAxis, core.ModeArbitrary, core.ModeAuto} {
 			sc := sessionConfig(cfg, pd.Data.N())
-			sc.Mode = mode.m
-			if err := addOracleRow(t, pd, queries, sc, nil, spec.name, mode.name); err != nil {
+			sc.Mode = mode
+			if err := addOracleRow(t, pd, queries, sc, nil, spec.name, mode.String()); err != nil {
 				return nil, err
 			}
 		}

@@ -189,8 +189,8 @@ func (c *Client) Varz(ctx context.Context) (json.RawMessage, error) {
 // recent summaries (straggler attribution) and the index-cache counters;
 // live entries matter to operators mid-run.
 type DebugSessions struct {
-	Live   []DebugLiveSession    `json:"live"`
-	Recent []DebugSessionSummary `json:"recent"`
+	Live       []DebugLiveSession    `json:"live"`
+	Recent     []DebugSessionSummary `json:"recent"`
 	IndexCache struct {
 		Hits    int64 `json:"hits"`
 		Misses  int64 `json:"misses"`

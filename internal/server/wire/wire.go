@@ -362,8 +362,11 @@ func FromRegion(reg *grid.Region, p *core.VisualProfile) Region {
 			}
 		}
 	}
+	// One pass collects the members. The view's size bounds the
+	// selection, so one allocation holds it; growing from empty would
+	// allocate up to three times the selection's size.
 	pts := kde.MatrixXY{M: p.Points}
-	out.SelectedIDs = make([]int, 0, reg.CountSource(pts))
+	out.SelectedIDs = make(Ints, 0, p.Points.Rows)
 	for i := 0; i < p.Points.Rows; i++ {
 		if reg.ContainsPoint(pts.XY(i)) {
 			out.SelectedIDs = append(out.SelectedIDs, p.IDs[i])
@@ -505,16 +508,11 @@ func (c SessionConfig) ToCore() (core.Config, error) {
 		StageSupportFactor: c.StageSupportFactor,
 		DisableGrading:     c.DisableGrading,
 	}
-	switch c.Mode {
-	case "", "arbitrary":
-		cfg.Mode = core.ModeArbitrary
-	case "axis":
-		cfg.Mode = core.ModeAxis
-	case "auto":
-		cfg.Mode = core.ModeAuto
-	default:
-		return core.Config{}, fmt.Errorf("wire: unknown projection mode %q (want arbitrary, axis, or auto)", c.Mode)
+	mode, err := core.ParseMode(c.Mode)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("wire: %w", err)
 	}
+	cfg.Mode = mode
 	if c.Index != "" {
 		if !slices.Contains(index.Names(), c.Index) {
 			return core.Config{}, fmt.Errorf("wire: unknown index backend %q (want one of %s)", c.Index, strings.Join(index.Names(), ", "))

@@ -120,6 +120,20 @@ func TestRegionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "region.golden.json", FromRegion(reg, p))
+
+	// A preview with no member points: a separator above the peak.
+	empty, err := grid.FindRegion(p.Grid, p.QueryX, p.QueryY, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(FromRegion(empty, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"tau":2,"cells":0,"member_cells":"","selected_ids":"","selected_count":0,"view_n":4}`
+	if string(got) != want {
+		t.Errorf("empty preview = %s, want %s", got, want)
+	}
 }
 
 func TestDecisionRoundTrip(t *testing.T) {
@@ -189,8 +203,9 @@ func TestSessionConfigToCore(t *testing.T) {
 			t.Errorf("mode %q → %v, %v", mode, cfg.Mode, err)
 		}
 	}
-	if _, err := (SessionConfig{Mode: "bogus"}).ToCore(); err == nil {
-		t.Error("bogus mode accepted")
+	const bogus = `wire: unknown projection mode "bogus" (want arbitrary, axis, or auto)`
+	if _, err := (SessionConfig{Mode: "bogus"}).ToCore(); err == nil || err.Error() != bogus {
+		t.Errorf("bogus mode: err %v, want %s", err, bogus)
 	}
 	for _, name := range []string{"exact", "vafile"} {
 		if cfg, err := (SessionConfig{Index: name}).ToCore(); err != nil || cfg.Index.Name != name {

@@ -14,9 +14,8 @@ import (
 
 // selectAndLenDecision is Heuristic.SeparateCluster written the direct
 // way: it selects each previewed region's points and takes the length.
-func selectAndLenDecision(h *Heuristic, p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
-	minPeakRatio, minDisc, maxFrac, maxGrowth, minPts, minStable := h.params()
-	if p.PeakRatio() < minPeakRatio || p.Discrimination < minDisc {
+func selectAndLenDecision(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
+	if p.PeakRatio() < heuristicMinPeakRatio || p.Discrimination < heuristicMinDiscrimination {
 		return core.Decision{Skip: true}
 	}
 	refN := max(p.OriginalN, p.Points.Rows)
@@ -33,11 +32,11 @@ func selectAndLenDecision(h *Heuristic, p *core.VisualProfile, preview func(tau 
 	bestStart, bestEnd := -1, -1
 	runStart := 0
 	admissible := func(i int) bool {
-		return counts[i] >= minPts && float64(counts[i]) <= maxFrac*float64(refN)
+		return counts[i] >= heuristicMinPoints && float64(counts[i]) <= heuristicMaxFraction*float64(refN)
 	}
 	for i := range mults {
 		stable := i > runStart && admissible(i) && admissible(i-1) &&
-			float64(counts[i]) <= maxGrowth*float64(counts[i-1])
+			float64(counts[i]) <= heuristicMaxGrowth*float64(counts[i-1])
 		if !stable {
 			runStart = i
 			continue
@@ -46,7 +45,7 @@ func selectAndLenDecision(h *Heuristic, p *core.VisualProfile, preview func(tau 
 			bestStart, bestEnd = runStart, i
 		}
 	}
-	if bestStart < 0 || bestEnd-bestStart < minStable {
+	if bestStart < 0 || bestEnd-bestStart < heuristicMinStableSteps {
 		return core.Decision{Skip: true}
 	}
 	return core.Decision{Tau: taus[bestEnd], Confidence: float64(bestEnd-bestStart) / float64(len(mults)-1)}
@@ -91,20 +90,18 @@ func TestHeuristicCountMatchesSelectAndLen(t *testing.T) {
 	}
 	profiles = append(profiles, sessionProfiles(t, synth.Case1, core.ModeAxis)...)
 	profiles = append(profiles, sessionProfiles(t, synth.Case2, core.ModeArbitrary)...)
-	users := []*Heuristic{{}, {MaxGrowth: 1.1, MinStableSteps: 1, MaxFraction: 0.5}}
+	h := &Heuristic{}
 	answered, skipped := 0, 0
-	for ui, h := range users {
-		for i, p := range profiles {
-			got := h.SeparateCluster(p, previewFor(p))
-			want := selectAndLenDecision(h, p, previewFor(p))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("user %d profile %d: decision %+v, select-and-len %+v", ui, i, got, want)
-			}
-			if got.Skip {
-				skipped++
-			} else {
-				answered++
-			}
+	for i, p := range profiles {
+		got := h.SeparateCluster(p, previewFor(p))
+		want := selectAndLenDecision(p, previewFor(p))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("profile %d: decision %+v, select-and-len %+v", i, got, want)
+		}
+		if got.Skip {
+			skipped++
+		} else {
+			answered++
 		}
 	}
 	if answered == 0 || skipped == 0 {

@@ -47,30 +47,27 @@ type Oracle struct {
 	// Relevant is the set of original row IDs forming the true query
 	// cluster.
 	Relevant map[int]bool
-	// MinF1 is the smallest acceptable agreement between a candidate
-	// separation and the ground truth; below it the view is skipped, the
-	// way a person ignores views like Figures 1(b)/1(c) (default 0.55).
-	MinF1 float64
-	// Beta weights recall against precision when scoring candidate
-	// separations (default 1.5): an attentive user would rather include
-	// a few fringe points than cut off part of the pattern, and the
-	// cross-projection coherence statistic cleans up the extras.
-	Beta float64
-	// MaxFraction caps the selected set at this fraction of the
-	// *original* data set (default 0.5): no attentive user calls most of
-	// the data "the query cluster", however well it scores. The cap
-	// anchors at the original size because session pruning concentrates
-	// the remaining data around the query, where the true cluster may
-	// legitimately be the majority.
-	MaxFraction float64
-	// TauFractions are the candidate separator heights as fractions of
-	// the density at the query point (the separator must sit below the
-	// query's own density for its region to be non-empty, so the query
-	// density — not the global maximum, which may belong to a different,
-	// denser cluster — is the right reference). A default ladder is used
-	// when nil.
-	TauFractions []float64
 }
+
+// The Oracle's fixed judgment.
+const (
+	// oracleMinF1 is the smallest acceptable agreement between a
+	// candidate separation and the ground truth; below it the view is
+	// skipped, the way a person ignores views like Figures 1(b)/1(c).
+	oracleMinF1 = 0.55
+	// oracleBeta weights recall against precision when scoring candidate
+	// separations: an attentive user would rather include a few fringe
+	// points than cut off part of the pattern, and the cross-projection
+	// coherence statistic cleans up the extras.
+	oracleBeta = 1.5
+	// oracleMaxFraction caps the selected set at this fraction of the
+	// *original* data set: no attentive user calls most of the data "the
+	// query cluster", however well it scores. The cap anchors at the
+	// original size because session pruning concentrates the remaining
+	// data around the query, where the true cluster may legitimately be
+	// the majority.
+	oracleMaxFraction = 0.5
+)
 
 // NewOracle builds an oracle user from a list of relevant original IDs.
 func NewOracle(relevantIDs []int) *Oracle {
@@ -81,27 +78,16 @@ func NewOracle(relevantIDs []int) *Oracle {
 	return &Oracle{Relevant: rel}
 }
 
-var defaultTauLadder = []float64{0.97, 0.92, 0.85, 0.78, 0.7, 0.62, 0.55, 0.47, 0.4, 0.33,
+// oracleTauLadder holds the candidate separator heights as fractions of
+// the density at the query point (the separator must sit below the
+// query's own density for its region to be non-empty, so the query
+// density — not the global maximum, which may belong to a different,
+// denser cluster — is the right reference).
+var oracleTauLadder = [...]float64{0.97, 0.92, 0.85, 0.78, 0.7, 0.62, 0.55, 0.47, 0.4, 0.33,
 	0.27, 0.21, 0.16, 0.12, 0.09, 0.06, 0.04, 0.02}
 
 // SeparateCluster implements core.User.
 func (o *Oracle) SeparateCluster(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
-	minF1 := o.MinF1
-	if minF1 == 0 {
-		minF1 = 0.55
-	}
-	maxFrac := o.MaxFraction
-	if maxFrac == 0 {
-		maxFrac = 0.5
-	}
-	beta := o.Beta
-	if beta == 0 {
-		beta = 1.5
-	}
-	ladder := o.TauFractions
-	if ladder == nil {
-		ladder = defaultTauLadder
-	}
 	// Ground truth restricted to the rows present in this profile.
 	var relevantHere []int
 	for _, id := range p.IDs {
@@ -118,14 +104,14 @@ func (o *Oracle) SeparateCluster(p *core.VisualProfile, preview func(tau float64
 	}
 	bestTau, bestF1 := 0.0, -1.0
 	pts := kde.MatrixXY{M: p.Points}
-	for _, frac := range ladder {
+	for _, frac := range oracleTauLadder {
 		tau := frac * ref
 		reg := preview(tau)
 		if reg == nil || reg.Empty() {
 			continue
 		}
 		positions, _ := reg.SelectSourceContext(context.Background(), 1, pts)
-		if float64(len(positions)) > maxFrac*float64(p.OriginalN) {
+		if float64(len(positions)) > oracleMaxFraction*float64(p.OriginalN) {
 			continue
 		}
 		if len(positions) >= p.Points.Rows*95/100 && len(positions) > 1 {
@@ -136,12 +122,12 @@ func (o *Oracle) SeparateCluster(p *core.VisualProfile, preview func(tau float64
 		for i, pos := range positions {
 			picked[i] = p.IDs[pos]
 		}
-		score := stats.EvalRetrieval(picked, relevantHere).FBeta(beta)
+		score := stats.EvalRetrieval(picked, relevantHere).FBeta(oracleBeta)
 		if score > bestF1 {
 			bestF1, bestTau = score, tau
 		}
 	}
-	if bestF1 < minF1 {
+	if bestF1 < oracleMinF1 {
 		return core.Decision{Skip: true}
 	}
 	return core.Decision{Tau: bestTau, Confidence: bestF1}
@@ -149,63 +135,38 @@ func (o *Oracle) SeparateCluster(p *core.VisualProfile, preview func(tau float64
 
 // Heuristic is a simulated user without ground truth: it reads only the
 // density profile, mimicking unaided visual intuition.
-type Heuristic struct {
-	// MinPeakRatio is the minimum query-density/max-density ratio for a
-	// view to be considered query-centered; below it the query sits in a
-	// sparse region à la Figure 1(b) and the view is skipped
-	// (default 0.15).
-	MinPeakRatio float64
-	// MinDiscrimination is the minimum projection discrimination score;
-	// below it the view is noise à la Figure 1(c) and skipped
-	// (default 0.25).
-	MinDiscrimination float64
-	// MaxFraction bounds the selected set: a "cluster" containing more
-	// than this fraction of the original data distinguishes nothing and
-	// the separator is raised (default 0.35).
-	MaxFraction float64
-	// MinPoints is the smallest selection worth reporting (default 2).
-	MinPoints int
-	// MaxGrowth is the largest step-to-step growth factor of the
-	// region's point count for two adjacent separator heights to count
-	// as "stable" (default 1.35), and MinStableSteps is how many
-	// consecutive stable transitions a genuine cluster must show
-	// (default 2). A separated cluster sits in a density valley: over a
-	// wide range of τ the region barely changes, which is how a person
-	// "interactively converges at the most intuitively appropriate
-	// value" (§2.2). A smooth hump — the signature of projected
-	// high-dimensional noise, Figure 12 — grows continuously with every
-	// lowering of the separator and never stabilizes below MaxFraction.
-	MaxGrowth      float64
-	MinStableSteps int
-}
+type Heuristic struct{}
 
-func (h *Heuristic) params() (peakRatio, disc, maxFrac, maxGrowth float64, minPts, minStable int) {
-	peakRatio = h.MinPeakRatio
-	if peakRatio == 0 {
-		peakRatio = 0.15
-	}
-	disc = h.MinDiscrimination
-	if disc == 0 {
-		disc = 0.25
-	}
-	maxFrac = h.MaxFraction
-	if maxFrac == 0 {
-		maxFrac = 0.35
-	}
-	maxGrowth = h.MaxGrowth
-	if maxGrowth == 0 {
-		maxGrowth = 1.35
-	}
-	minPts = h.MinPoints
-	if minPts == 0 {
-		minPts = 2
-	}
-	minStable = h.MinStableSteps
-	if minStable == 0 {
-		minStable = 2
-	}
-	return peakRatio, disc, maxFrac, maxGrowth, minPts, minStable
-}
+// The Heuristic's fixed judgment.
+const (
+	// heuristicMinPeakRatio is the minimum query-density/max-density
+	// ratio for a view to be considered query-centered; below it the
+	// query sits in a sparse region à la Figure 1(b) and the view is
+	// skipped.
+	heuristicMinPeakRatio = 0.15
+	// heuristicMinDiscrimination is the minimum projection
+	// discrimination score; below it the view is noise à la Figure 1(c)
+	// and skipped.
+	heuristicMinDiscrimination = 0.25
+	// heuristicMaxFraction bounds the selected set: a "cluster"
+	// containing more than this fraction of the original data
+	// distinguishes nothing and the separator is raised.
+	heuristicMaxFraction = 0.35
+	// heuristicMinPoints is the smallest selection worth reporting.
+	heuristicMinPoints = 2
+	// heuristicMaxGrowth is the largest step-to-step growth factor of the
+	// region's point count for two adjacent separator heights to count as
+	// "stable", and heuristicMinStableSteps is how many consecutive
+	// stable transitions a genuine cluster must show. A separated cluster
+	// sits in a density valley: over a wide range of τ the region barely
+	// changes, which is how a person "interactively converges at the most
+	// intuitively appropriate value" (§2.2). A smooth hump — the
+	// signature of projected high-dimensional noise, Figure 12 — grows
+	// continuously with every lowering of the separator and never
+	// stabilizes below heuristicMaxFraction.
+	heuristicMaxGrowth      = 1.35
+	heuristicMinStableSteps = 2
+)
 
 // heuristicMults are the separator heights the Heuristic previews, as
 // multiples of the query density, from just below it downwards.
@@ -218,11 +179,10 @@ var heuristicMults = [...]float64{0.95, 0.85, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25
 // region sits in a density valley, i.e. it is a separated cluster); the
 // answer is the lowest height of the longest such stable stretch.
 func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
-	minPeakRatio, minDisc, maxFrac, maxGrowth, minPts, minStable := h.params()
-	if p.PeakRatio() < minPeakRatio {
+	if p.PeakRatio() < heuristicMinPeakRatio {
 		return core.Decision{Skip: true} // query in a sparse region
 	}
-	if p.Discrimination < minDisc {
+	if p.Discrimination < heuristicMinDiscrimination {
 		return core.Decision{Skip: true} // no contrast anywhere
 	}
 	refN := p.OriginalN
@@ -250,11 +210,11 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	bestStart, bestEnd := -1, -1
 	runStart := 0
 	admissible := func(i int) bool {
-		return counts[i] >= minPts && float64(counts[i]) <= maxFrac*float64(refN)
+		return counts[i] >= heuristicMinPoints && float64(counts[i]) <= heuristicMaxFraction*float64(refN)
 	}
 	for i := 0; i < len(heuristicMults); i++ {
 		stable := i > runStart && admissible(i) && admissible(i-1) &&
-			float64(counts[i]) <= maxGrowth*float64(counts[i-1])
+			float64(counts[i]) <= heuristicMaxGrowth*float64(counts[i-1])
 		if !stable {
 			runStart = i
 			continue
@@ -263,7 +223,7 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 			bestStart, bestEnd = runStart, i
 		}
 	}
-	if bestStart < 0 || bestEnd-bestStart < minStable {
+	if bestStart < 0 || bestEnd-bestStart < heuristicMinStableSteps {
 		return core.Decision{Skip: true}
 	}
 	// Confidence grows with the length of the stable stretch: the longer
@@ -312,10 +272,11 @@ func (u *Noisy) SeparateCluster(p *core.VisualProfile, preview func(tau float64)
 // views then count for more in the meaningfulness statistic.
 type QualityWeighted struct {
 	Base core.User
-	// MinWeight floors the weight so an answered view never counts for
-	// nothing (default 0.1).
-	MinWeight float64
 }
+
+// minQualityWeight floors a QualityWeighted weight so an answered view
+// never counts for nothing.
+const minQualityWeight = 0.1
 
 // SeparateCluster implements core.User.
 func (u *QualityWeighted) SeparateCluster(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
@@ -323,15 +284,7 @@ func (u *QualityWeighted) SeparateCluster(p *core.VisualProfile, preview func(ta
 	if d.Skip {
 		return d
 	}
-	w := p.Discrimination
-	floor := u.MinWeight
-	if floor == 0 {
-		floor = 0.1
-	}
-	if w < floor {
-		w = floor
-	}
-	d.Weight = w
+	d.Weight = max(p.Discrimination, minQualityWeight)
 	return d
 }
 

@@ -94,7 +94,6 @@ func TestOracleSkipsHopelessView(t *testing.T) {
 		relevant[i] = i
 	}
 	o := NewOracle(relevant)
-	o.MinF1 = 0.5
 	if d := o.SeparateCluster(p, previewFor(p)); !d.Skip {
 		tau := d.Tau
 		positions, _ := p.SelectAt(tau)
@@ -102,9 +101,9 @@ func TestOracleSkipsHopelessView(t *testing.T) {
 		for i, pos := range positions {
 			picked[i] = p.IDs[pos]
 		}
-		f1 := stats.EvalRetrieval(picked, relevant).F1()
-		if f1 < 0.5 {
-			t.Errorf("oracle answered with F1 %v below its own floor", f1)
+		score := stats.EvalRetrieval(picked, relevant).FBeta(oracleBeta)
+		if score < oracleMinF1 {
+			t.Errorf("oracle answered with F-beta %v below its own floor", score)
 		}
 	}
 }
@@ -308,10 +307,85 @@ func TestQualityWeightedSetsWeights(t *testing.T) {
 	if d := skipper.SeparateCluster(p, previewFor(p)); !d.Skip {
 		t.Error("skip not passed through")
 	}
-	// The floor applies on hopeless views.
-	floored := &QualityWeighted{Base: base, MinWeight: 0.4}
-	d = floored.SeparateCluster(p, previewFor(p))
-	if d.Weight < 0.4 {
-		t.Errorf("floored weight = %v", d.Weight)
+	// The 0.1 floor applies on hopeless views.
+	p.Discrimination = 0.05
+	if d := u.SeparateCluster(p, previewFor(p)); d.Weight != 0.1 {
+		t.Errorf("floored weight = %v, want 0.1", d.Weight)
+	}
+}
+
+// TestSessionAnsweredShareBoundary pins the session's answered-share rule
+// at its boundary: a result counts as meaningful only when the user
+// answered at least 20% of the views shown. One axis sweep over d=20
+// shows 10 views; a Scripted user replays the separators of the first
+// two of them (exactly 20%) or of the first one only (10%), then skips.
+// Both probability profiles pass Diagnose on their own, so the answered
+// share alone decides the verdict.
+func TestSessionAnsweredShareBoundary(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const n, d = 300, 20
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			if i < 30 {
+				rows[i][j] = 5 + r.NormFloat64()*0.3
+			} else {
+				rows[i][j] = r.Float64() * 10
+			}
+		}
+	}
+	ds, err := dataset.New(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := make([]float64, d)
+	for j := range query {
+		query[j] = 5
+	}
+	run := func(u core.User) *core.Result {
+		t.Helper()
+		sess, err := core.NewSession(ds, query, u, core.Config{
+			Support: 30, Mode: core.ModeAxis, GridSize: 32,
+			MinMajorIterations: 1, MaxMajorIterations: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// The views of one sweep do not depend on the answers, so the
+	// separators a user places on them can be recorded once and replayed.
+	var answers []core.Decision
+	run(core.UserFunc(func(p *core.VisualProfile, _ func(float64) *grid.Region) core.Decision {
+		answers = append(answers, core.Decision{Tau: 0.5 * p.QueryDensity})
+		return answers[len(answers)-1]
+	}))
+	if len(answers) != 10 {
+		t.Fatalf("sweep showed %d views, want 10", len(answers))
+	}
+	for _, tc := range []struct {
+		answered   int
+		meaningful bool
+	}{{2, true}, {1, false}} {
+		res := run(&Scripted{Decisions: answers[:tc.answered]})
+		if res.ViewsShown != 10 || res.ViewsAnswered != tc.answered {
+			t.Fatalf("%d answers: %d/%d views answered", tc.answered, res.ViewsAnswered, res.ViewsShown)
+		}
+		probs := make([]float64, 0, len(res.Probabilities))
+		for _, p := range res.Probabilities {
+			probs = append(probs, p)
+		}
+		if !core.Diagnose(probs).Meaningful {
+			t.Fatalf("%d answers: profile alone not meaningful: %+v", tc.answered, core.Diagnose(probs))
+		}
+		if res.Diagnosis.Meaningful != tc.meaningful {
+			t.Errorf("%d/10 views answered: meaningful = %v, want %v (%+v)",
+				tc.answered, res.Diagnosis.Meaningful, tc.meaningful, res.Diagnosis)
+		}
 	}
 }
