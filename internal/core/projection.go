@@ -75,14 +75,15 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 // coordinator is not involved (see candGen).
 //
 // Beyond the ambient identity scan, the generator is also consulted when
-// the whole scan resolves to an axis-aligned mask over an ancestor
-// ambient view (axisScanRoute): the backend's KNNAxis serves those scans
-// over the ancestor's rows directly, so the index built (or derived) once
-// per view generation is reused across the projection stages instead of
-// being rebuilt per composed frame. Scans that resolve to no route —
+// the scan resolves to an axis-aligned mask over an ambient view
+// (dataset.AxisRoute): the backend's KNNAxis serves those scans over the
+// ambient rows directly, so the index built (or derived) once per view
+// generation is reused across the projection stages instead of being
+// rebuilt per composed frame. Scans that resolve to no route —
 // arbitrary-direction frames — run the exact kernels with no index at
 // all, which is strictly cheaper than building one that cannot be
-// consulted.
+// consulted. Either way an axis frame's rows are read through its route,
+// so the frame is never materialized.
 func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.View, q linalg.Vector, sub *linalg.Subspace, s int, scr *searchScratch, gen *candGen) ([]int, error) {
 	n := v.N()
 	if s < 0 {
@@ -95,11 +96,12 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 	if gen != nil && s > 0 && s < n {
 		var idxCands []index.Candidate
 		var err error
+		origin, axes, routed := dataset.AxisRoute(v, sub)
 		if base, _ := v.Base(); sub.Identity() && base == nil {
 			// Ambient full-space scan: the backend's L2 ranking is the
 			// engine's ranking.
 			idxCands, err = gen.candidates(ctx, v, q, s)
-		} else if origin, axes, ok := axisScanRoute(v, sub); ok {
+		} else if routed {
 			// qp is the query in the scanned subspace's coordinates —
 			// exactly the coordinates KNNAxis measures along axes.
 			idxCands, err = gen.candidatesAxis(ctx, origin, qp, axes, s)
@@ -109,9 +111,17 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 		}
 		if len(idxCands) >= s {
 			cands := scr.candBuf(len(idxCands))
-			sub.ProjDistRows(qp, len(idxCands),
-				func(i int) linalg.Vector { return v.Point(idxCands[i].Pos) },
-				func(i int, dist float64) { cands[i] = shard.Cand{Pos: idxCands[i].Pos, Dist: dist} })
+			rows := v
+			if routed {
+				rows = origin
+			}
+			row := func(i int) linalg.Vector { return rows.Point(idxCands[i].Pos) }
+			emit := func(i int, dist float64) { cands[i] = shard.Cand{Pos: idxCands[i].Pos, Dist: dist} }
+			if routed {
+				linalg.AxisDistRows(qp, axes, len(idxCands), row, emit)
+			} else {
+				sub.ProjDistRows(qp, len(idxCands), row, emit)
+			}
 			shard.SelectNearest(cands, s)
 			return positionsOf(cands[:s]), nil
 		}
@@ -132,40 +142,6 @@ func positionsOf(cands []shard.Cand) []int {
 		out[i] = c.Pos
 	}
 	return out
-}
-
-// axisScanRoute resolves a projected-subspace scan to an equivalent
-// axis-mask scan over an ancestor ambient view: when sub is axis-aligned
-// within v's coordinate frame AND every projection on v's composition
-// chain is itself axis-aligned, the scanned directions compose to a mask
-// of the ancestor's original attributes. origin is the deepest ambient
-// view of the chain (positions in v and origin coincide — Compose
-// preserves row order) and axes[j] is the origin attribute behind sub's
-// j-th basis vector, so a backend's KNNAxis over (origin, axes) measures
-// exactly the engine's projected distance. Any arbitrary-direction hop
-// makes the scan unroutable (ok false): those frames re-coordinatize the
-// data and no fixed index can serve them.
-func axisScanRoute(v *dataset.View, sub *linalg.Subspace) (origin *dataset.View, axes []int, ok bool) {
-	axes0, ok := sub.AxisIndices()
-	if !ok {
-		return nil, nil, false
-	}
-	axes = make([]int, len(axes0))
-	copy(axes, axes0)
-	for cur := v; ; {
-		base, proj := cur.Base()
-		if base == nil {
-			return cur, axes, true
-		}
-		paxes, pok := proj.AxisIndices()
-		if !pok {
-			return nil, nil, false
-		}
-		for i, a := range axes {
-			axes[i] = paxes[a]
-		}
-		cur = base
-	}
 }
 
 // varianceAlongUnit replicates linalg.Matrix.VarianceAlong over the rows
@@ -248,15 +224,25 @@ func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
 // axis-parallel mode they are within's own basis vectors (the original
 // attributes), which matches the paper's interpretable variant.
 //
-// Scoring runs in one of two modes. The default fast path reads γᵢ off
-// the view's memoized covariance as the quadratic form uᵀΣu and λᵢ off
-// moments already in hand (the eigenvalues of the member covariance in
-// PCA mode; one pass of member column variances in axis mode), so no
-// per-direction O(n·d) data sweep remains. cfg.exact restores the
-// reference sweeps of Matrix.VarianceAlong bit for bit; the two agree to
-// ≤ 1e-10 relative (pinned by tests).
+// Scoring runs in one of two modes. The default fast path needs no
+// per-direction O(n·d) data sweep: λᵢ comes off moments already in hand
+// (the eigenvalues of the member covariance in PCA mode; one pass of
+// member column variances in axis mode), and γᵢ off moments of the whole
+// view. In axis mode, when the session has handed over its ambient
+// view's column variances (cfg.ambientVar) and v is that view or an axis
+// frame of it, γⱼ is the variance of the ambient attribute behind basis
+// vector j (dataset.AxisRoute): exactly Σⱼⱼ of the view's covariance,
+// which is what the quadratic form eⱼᵀΣeⱼ returns when Σ is finite. The
+// session withholds the variances, and γᵢ is read as uᵀΣu off the view's
+// memoized covariance, in two cases where the bits would differ: P ≥ 2
+// (sharded moments re-associate their sums) and non-finite variances,
+// which any non-finite cell causes (an off-diagonal Inf·0 turns the
+// quadratic form NaN).
+// PCA mode always reads uᵀΣu. cfg.exact restores the reference sweeps of
+// Matrix.VarianceAlong bit for bit; the two agree to ≤ 1e-10 relative
+// (pinned by tests).
 func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View, members []int, l int, within *linalg.Subspace, scr *searchScratch) (*linalg.Subspace, error) {
-	workers := cfg.Workers
+	workers, exact := cfg.Workers, cfg.exact
 	m := within.Dim()
 	if l > m {
 		return nil, fmt.Errorf("%w: want %d directions from a %d-dim subspace", ErrDegenerateData, l, m)
@@ -270,20 +256,46 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		}
 	}
 
-	// fullCov is the fast path's Σ of the whole view, memoized on the view
-	// (in the coordinator's P slot) and shared by every stage, minor
-	// iteration, projection family and session that scores directions in
-	// this coordinate system.
+	// The scan's axis route, if any: member rows are then gathered from
+	// the ambient rows at axes, and axis-mode γ can be read off the
+	// ambient column variances.
+	origin, axes, routed := dataset.AxisRoute(v, within)
+
+	// ambientVar, in fast axis mode over the session's ambient rows,
+	// carries γⱼ as ambientVar[axes[j]]. Otherwise fullCov is the fast
+	// path's Σ of the whole view, memoized on the view (in the
+	// coordinator's P slot) and shared by every stage, minor iteration,
+	// projection family and session that scores directions in this
+	// coordinate system.
+	var ambientVar linalg.Vector
 	var fullCov *linalg.Matrix
-	if !cfg.exact {
-		st, err := cfg.coord.Stats(ctx, v)
-		if err != nil {
-			return nil, fmt.Errorf("core: view stats: %w", err)
+	if !exact {
+		if cfg.AxisParallel && routed && origin == cfg.ambient {
+			ambientVar = cfg.ambientVar
 		}
-		fullCov = st.Cov
+		if ambientVar == nil {
+			st, err := cfg.coord.Stats(ctx, v)
+			if err != nil {
+				return nil, fmt.Errorf("core: view stats: %w", err)
+			}
+			fullCov = st.Cov
+		}
 	}
 
-	memberRow := func(k int) linalg.Vector { return v.Point(members[k]) }
+	// memberCoords writes the member coordinates inside within into
+	// scratch (every cell is written, and nothing retains the buffer):
+	// gathered along the route, or projected from v's rows by the blocked
+	// kernel, whose per-entry order matches the former row.Dot loop bit
+	// for bit. No member subset and no frame is materialized.
+	memberCoords := func() (*linalg.Matrix, error) {
+		coords := &linalg.Matrix{Rows: len(members), Cols: m, Data: scr.floatBuf(len(members) * m)}
+		if routed {
+			return coords, linalg.GatherRowsInto(ctx, workers, coords, len(members), axes,
+				func(k int) linalg.Vector { return origin.Point(members[k]) })
+		}
+		return coords, within.ProjectRowsInto(ctx, workers, coords, len(members),
+			func(k int) linalg.Vector { return v.Point(members[k]) })
+	}
 
 	var directions []linalg.Vector
 	// fastLambda, in fast mode, carries the member variance along
@@ -291,24 +303,17 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 	var fastLambda []float64
 	if cfg.AxisParallel {
 		directions = within.Basis()
-		if !cfg.exact {
-			// Member coordinates inside within via the blocked kernel (a
-			// strided gather whenever within is axis-aligned, which it is
-			// for the whole of axis mode); λⱼ is the variance of column j.
-			coords := &linalg.Matrix{Rows: len(members), Cols: m, Data: scr.floatBuf(len(members) * m)}
-			if err := within.ProjectRowsInto(ctx, workers, coords, len(members), memberRow); err != nil {
+		if !exact {
+			// λⱼ is the variance of member column j.
+			coords, err := memberCoords()
+			if err != nil {
 				return nil, err
 			}
 			fastLambda = coords.ColumnVariances()
 		}
 	} else {
-		// Member coordinates inside within, written directly from the view
-		// rows by the blocked kernel — no member-subset dataset is
-		// materialized, and the per-entry accumulation order matches the
-		// former row.Dot loop bit for bit. The backing buffer is scratch:
-		// every cell is written, and covariance does not retain it.
-		coords := &linalg.Matrix{Rows: len(members), Cols: m, Data: scr.floatBuf(len(members) * m)}
-		if err := within.ProjectRowsInto(ctx, workers, coords, len(members), memberRow); err != nil {
+		coords, err := memberCoords()
+		if err != nil {
 			return nil, err
 		}
 		cov, err := coords.CovarianceContext(ctx, workers)
@@ -323,7 +328,7 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		for i, ev := range eig.Vectors {
 			directions[i] = within.Lift(ev)
 		}
-		if !cfg.exact {
+		if !exact {
 			// λᵢ is exactly the i-th eigenvalue: the member variance along
 			// eigenvector i of the member covariance. Clamp eigensolver
 			// noise at zero like every variance path does.
@@ -353,10 +358,13 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		u := dir.Clone()
 		var lambda, gamma float64
 		if u.Normalize() != 0 {
-			if cfg.exact {
+			switch {
+			case exact:
 				lambda = varianceAlongUnit(v, members, u)
 				gamma = varianceAlongUnit(v, nil, u)
-			} else {
+			case ambientVar != nil:
+				lambda, gamma = fastLambda[i], ambientVar[axes[i]]
+			default:
 				lambda = fastLambda[i]
 				gamma = fullCov.QuadForm(u)
 				if gamma < 0 { // numeric noise, like the sweep's clamp
@@ -442,6 +450,14 @@ type ProjectionSearch struct {
 	// through: the owning session's (Config.Shards), or a one-shard
 	// coordinator over Workers for standalone calls (see standalone).
 	coord *shard.Coordinator
+
+	// ambient and ambientVar, when set, are the session's current ambient
+	// view and its column variances (dataset.View.ColumnVariances),
+	// computed once per major iteration: axis-parallel scoring over that
+	// view or any axis frame of it reads γ off them instead of the full
+	// covariance (see clusterSubspace). Standalone calls leave them nil.
+	ambient    *dataset.View
+	ambientVar linalg.Vector
 }
 
 // standalone equips cfg for a call outside a session: one shard over the
@@ -599,15 +615,16 @@ func DiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subs
 // gather Subspace.ProjectRowsInto runs, which equals the sweep's dot
 // product bit for bit on a finite row. The variances are read off the
 // columns instead of re-sweeping the n×d rows whenever v's rows are known
-// finite without reading them — gathered (axisScanRoute) from a Finite
-// store. Otherwise, as for every other direction, the rows are swept, so
-// a non-finite coordinate anywhere in a row still yields the sweep's NaN.
+// finite without reading them — gathered (dataset.AxisRoute) from a
+// Finite store. Otherwise, as for every other direction, the rows are
+// swept, so a non-finite coordinate anywhere in a row still yields the
+// sweep's NaN (and an axis frame over such a store is materialized).
 func discriminationOf(v *dataset.View, members []int, proj *linalg.Subspace, coords *linalg.Matrix) float64 {
 	if len(members) == 0 {
 		return 0
 	}
 	if coords != nil {
-		if origin, _, ok := axisScanRoute(v, proj); !ok || !origin.Store().Finite() {
+		if _, _, ok := dataset.AxisRoute(v, proj); !ok || !v.Store().Finite() {
 			coords = nil
 		}
 	}

@@ -482,6 +482,9 @@ func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) e
 	if s.gen != nil {
 		s.gen.major = s.iter
 	}
+	if err := s.axisVariances(ctx, &psearch); err != nil {
+		return fmt.Errorf("core: major %d: %w", s.iter, err)
+	}
 	// Every frame of the sweep holds the same rows in the same order (a
 	// composed frame delegates ID to its base), so one ID slice serves all
 	// of the sweep's profiles.
@@ -553,11 +556,20 @@ func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) e
 		if err != nil {
 			return fmt.Errorf("core: complement: %w", err)
 		}
-		// The next frame materializes eagerly from the current one; the
-		// current frame's coordinates are dead after that and its buffer
-		// goes back to the arena for the frame after next. (Reclaim is a
-		// no-op on the first frame, the ambient s.data view.)
-		next, err := dc.ComposeArenaContext(ctx, s.cfg.Workers, complement, &s.arena)
+		// An axis complement of the ambient view or of an axis frame is a
+		// column mask over s.data: composed lazily, one hop deep, and never
+		// materialized, because every row reader resolves it through
+		// dataset.AxisRoute. Any other frame materializes eagerly from the
+		// current one into the arena; the current frame's coordinates are
+		// dead after that and its buffer goes back to the arena for the
+		// frame after next. (Reclaim is a no-op on the ambient s.data view
+		// and on axis frames.)
+		var next *dataset.View
+		if _, _, ok := dataset.AxisRoute(dc, complement); ok {
+			next, err = dc.Compose(complement)
+		} else {
+			next, err = dc.ComposeArenaContext(ctx, s.cfg.Workers, complement, &s.arena)
+		}
 		if err != nil {
 			return fmt.Errorf("core: reproject data: %w", err)
 		}
@@ -607,6 +619,27 @@ func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) e
 		Dropped: dropped,
 		N:       s.data.N(),
 	})
+	return nil
+}
+
+// axisVariances hands psearch the column variances of s.data when the
+// sweep may score axis-parallel directions against them (see
+// clusterSubspace): ModeAxis or ModeAuto, one shard, the fast path, and
+// variances that are all finite. A non-finite cell makes its column's
+// variance NaN or ±Inf, and so does overflow on finite cells; Σ then may
+// hold non-finite off-diagonal entries, whose Inf·0 or NaN·0 turns the
+// quadratic form NaN where the diagonal is not.
+func (s *Session) axisVariances(ctx context.Context, psearch *ProjectionSearch) error {
+	if s.cfg.Mode == ModeArbitrary || s.coord.Shards() > 1 || s.exactProjection {
+		return nil
+	}
+	vars, err := s.data.ColumnVariances(ctx)
+	if err != nil {
+		return err
+	}
+	if vars.IsFinite() {
+		psearch.ambient, psearch.ambientVar = s.data, vars
+	}
 	return nil
 }
 

@@ -7,11 +7,14 @@ import (
 )
 
 // Arena recycles the materialization buffers of short-lived projected
-// views. The engine's per-minor-iteration complement chains are the
-// motivating case: each frame D_{k+1} = Proj(D_k, E_new) is computed from
-// the previous frame's coordinates and then makes them dead, so a session
-// can ping-pong between a couple of buffers instead of allocating a fresh
-// n×dim matrix every minor iteration.
+// views. The engine's per-minor-iteration complement chains over
+// arbitrary directions are the motivating case: each frame
+// D_{k+1} = Proj(D_k, E_new) is computed from the previous frame's
+// coordinates and then makes them dead, so a session can ping-pong
+// between a couple of buffers instead of allocating a fresh n×dim matrix
+// every minor iteration. Axis frames never need one: an axis composition
+// is a column mask over its ambient base (see Compose and AxisRoute),
+// read in place and never materialized.
 //
 // Arena-composed views trade away the View type's headline guarantees:
 // they are single-owner (one goroutine drives Compose/Reclaim; concurrent
@@ -47,20 +50,14 @@ func (a *Arena) give(b []float64) {
 	}
 }
 
-// ComposeArena is Compose with eager materialization into an arena
-// buffer: the projected coordinates are computed immediately (so the
-// receiver's rows may be reclaimed right afterwards) and the returned
+// ComposeArenaContext is Compose with eager materialization into an
+// arena buffer: the projected coordinates are computed immediately (so
+// the receiver's rows may be reclaimed right afterwards) and the returned
 // view's own buffer can later be recycled with Reclaim. See Arena for the
-// ownership rules.
-func (v *View) ComposeArena(sub *linalg.Subspace, a *Arena) (*View, error) {
-	return v.ComposeArenaContext(context.Background(), 1, sub, a)
-}
-
-// ComposeArenaContext is ComposeArena with cooperative cancellation and a
-// worker count for the eager materialization: the projection kernel runs
-// its row shards on up to `workers` goroutines (≤ 0 means GOMAXPROCS) and
-// writes bit-identical coordinates at any worker count. On a canceled
-// context the arena buffer is returned and no view escapes.
+// ownership rules. The projection kernel runs its row shards on up to
+// `workers` goroutines (≤ 0 means GOMAXPROCS) and writes bit-identical
+// coordinates at any worker count. On a canceled context the arena
+// buffer is returned and no view escapes.
 func (v *View) ComposeArenaContext(ctx context.Context, workers int, sub *linalg.Subspace, a *Arena) (*View, error) {
 	nv, err := v.Compose(sub)
 	if err != nil {

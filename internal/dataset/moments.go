@@ -217,6 +217,43 @@ func finishStats(sums momentSums, m2 *linalg.Matrix) (*ViewStats, error) {
 	return &ViewStats{Mean: mean, Cov: cov}, nil
 }
 
+// ColumnVariances returns the diagonal of Stats(ctx, 1).Cov bit for bit
+// in O(n·d), without the d×d covariance or the Coords copy behind it:
+// the mean is Matrix.Mean's (rows summed in order, × 1/n), and entry a
+// is Σᵢ (xᵢₐ−meanₐ)² over the rows in order, skipping exact zero
+// deviations, × 1/n — CovarianceContext's per-entry sequence, with a
+// zero vector below two rows. Rows are read through Point, so call it on
+// ambient views; a projected view would materialize.
+func (v *View) ColumnVariances(ctx context.Context) (linalg.Vector, error) {
+	n, d := v.N(), v.Dim()
+	out := make(linalg.Vector, d)
+	if n < 2 {
+		return out, ctx.Err()
+	}
+	sums, err := v.columnSums(ctx, 0, n)
+	if err != nil {
+		return nil, err
+	}
+	mean := sums.mean()
+	for i := 0; i < n; i++ {
+		if i%statsCancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		for a, x := range v.Point(i) {
+			if c := x - mean[a]; c != 0 {
+				out[a] += c * (x - mean[a])
+			}
+		}
+	}
+	inv := 1 / float64(n)
+	for a := range out {
+		out[a] *= inv
+	}
+	return out, nil
+}
+
 // Base exposes the projection stage of a composed view: the view it reads
 // from and the subspace applied, or (nil, nil) for ambient views.
 func (v *View) Base() (*View, *linalg.Subspace) { return v.base, v.proj }

@@ -21,7 +21,12 @@ import (
 // access, with exactly the float-operation order of the eager
 // Subspace.ProjectRows path, so results are bit-identical to projecting a
 // copy. Materialization is guarded by a sync.Once: views are safe for
-// concurrent readers at any worker count.
+// concurrent readers at any worker count. An axis composition is a
+// column mask: Compose keeps it one hop above its base, and readers that
+// resolve their rows through AxisRoute gather the masked columns from
+// the base, so an axis frame is materialized only if something reads it
+// through Point or Coords. The engine materializes only
+// arbitrary-direction frames, eagerly, into an Arena.
 //
 // A View never mutates its store; normalization and CSV loading — the
 // places a copy still happens — build fresh stores instead.
@@ -37,7 +42,7 @@ type View struct {
 	mat  *linalg.Matrix
 
 	// arena, when non-nil, supplies (and reclaims) the materialization
-	// buffer; see ComposeArena.
+	// buffer; see ComposeArenaContext.
 	arena *Arena
 
 	// parent and parentRows record row provenance: the view this one was
@@ -293,12 +298,73 @@ func RowsBetween(ancestor, v *View) (rows []int, ok bool) {
 // Compose returns a view whose rows are this view's rows projected into
 // sub (coordinates in sub's basis). The projection is applied lazily on
 // first row access; until then no point data is touched.
+//
+// An axis-aligned sub over an axis frame (a view whose own projection is
+// axis-aligned) collapses into one axis projection of that frame's base:
+// picking attributes of picked attributes is picking attributes, and
+// each gathered coordinate x+0 is unchanged by a second +0, so the rows
+// carry the bits of the two-hop chain. An axis chain is therefore never
+// more than one hop deep, and AxisRoute resolves it without a walk.
 func (v *View) Compose(sub *linalg.Subspace) (*View, error) {
 	if sub.Ambient() != v.Dim() {
 		return nil, fmt.Errorf("%w: rows have dim %d, ambient %d",
 			linalg.ErrDimensionMismatch, v.Dim(), sub.Ambient())
 	}
+	if v.base != nil {
+		if axes, ok := composeAxes(v.proj, sub); ok {
+			flat, err := linalg.AxisSubspace(v.base.Dim(), axes)
+			if err != nil {
+				return nil, err
+			}
+			return &View{store: v.store, base: v.base, proj: flat}, nil
+		}
+	}
 	return &View{store: v.store, base: v, proj: sub}, nil
+}
+
+// composeAxes returns, when both frame and sub are axis-aligned, the
+// attribute of frame's input behind each of sub's basis vectors. The
+// slice is fresh; frame and sub's axis memos are left untouched.
+func composeAxes(frame, sub *linalg.Subspace) ([]int, bool) {
+	faxes, ok := frame.AxisIndices()
+	if !ok {
+		return nil, false
+	}
+	saxes, ok := sub.AxisIndices()
+	if !ok {
+		return nil, false
+	}
+	axes := make([]int, len(saxes))
+	for i, a := range saxes {
+		axes[i] = faxes[a]
+	}
+	return axes, true
+}
+
+// AxisRoute gives the rows a pass over v along sub reads. ok reports
+// that sub is axis-aligned and v is either ambient or an axis frame over
+// an ambient view; origin is then that ambient view (v itself, or the
+// frame's base) and axes[j] is origin's attribute behind sub's j-th
+// basis vector. Positions in v and origin coincide (Compose preserves
+// row order), and gathering origin's rows at axes (linalg.GatherRowsInto,
+// linalg.AxisDistRows) yields bit for bit what projecting v's rows
+// through sub would, so a reader that follows the route never
+// materializes an axis frame, and an index built over origin serves the
+// scan through its axis search. When ok is false the reader projects
+// v's rows through sub: any arbitrary-direction projection
+// re-coordinatizes the data. axes is read-only.
+func AxisRoute(v *View, sub *linalg.Subspace) (origin *View, axes []int, ok bool) {
+	if v.base == nil {
+		axes, ok = sub.AxisIndices()
+		return v, axes, ok
+	}
+	if v.base.base != nil {
+		return nil, nil, false
+	}
+	if axes, ok = composeAxes(v.proj, sub); !ok {
+		return nil, nil, false
+	}
+	return v.base, axes, true
 }
 
 // materialized computes (once) the projected coordinates of every base

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -143,7 +144,7 @@ func TestViewComposeArenaBitIdentical(t *testing.T) {
 	var a Arena
 	// Cycle the arena so later compositions run on recycled buffers.
 	for round := 0; round < 3; round++ {
-		av, err := ds.View().ComposeArena(sub, &a)
+		av, err := ds.View().ComposeArenaContext(context.Background(), 1, sub, &a)
 		if err != nil {
 			t.Fatal(err)
 		}

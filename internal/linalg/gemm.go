@@ -48,19 +48,11 @@ func (s *Subspace) ProjectRowsInto(ctx context.Context, workers int, dst *Matrix
 		return fmt.Errorf("%w: dst %dx%d for %d rows into %d-dim subspace",
 			ErrDimensionMismatch, dst.Rows, dst.Cols, n, len(s.basis))
 	}
-	axes, axisOK := s.axisIndices()
+	if axes, ok := s.axisIndices(); ok {
+		return GatherRowsInto(ctx, workers, dst, n, axes, row)
+	}
 	l := len(s.basis)
 	return parallel.ForShards(ctx, workers, n, func(_ context.Context, _, lo, hi int) error {
-		if axisOK {
-			for i := lo; i < hi; i++ {
-				r := row(i)
-				out := dst.Data[i*l : i*l+l]
-				for j, a := range axes {
-					out[j] = r[a] + 0
-				}
-			}
-			return nil
-		}
 		i := lo
 		for ; i+gemmRowTile <= hi; i += gemmRowTile {
 			r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
@@ -81,6 +73,29 @@ func (s *Subspace) ProjectRowsInto(ctx context.Context, workers int, dst *Matrix
 			out := dst.Data[i*l : i*l+l]
 			for j, b := range s.basis {
 				out[j] = r.Dot(b)
+			}
+		}
+		return nil
+	})
+}
+
+// GatherRowsInto is ProjectRowsInto for the axis-aligned subspace whose
+// j-th basis vector is the standard vector e_axes[j]: dst(i, j) =
+// row(i)[axes[j]] + 0, the gather that equals the dot product bit for bit
+// (see Subspace.axisIndices). Callers that know the axes of a composed
+// axis frame read its base rows through it without building a subspace.
+func GatherRowsInto(ctx context.Context, workers int, dst *Matrix, n int, axes []int, row func(int) Vector) error {
+	l := len(axes)
+	if dst.Rows < n || dst.Cols != l {
+		return fmt.Errorf("%w: dst %dx%d for %d rows into %d axes",
+			ErrDimensionMismatch, dst.Rows, dst.Cols, n, l)
+	}
+	return parallel.ForShards(ctx, workers, n, func(_ context.Context, _, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			r := row(i)
+			out := dst.Data[i*l : i*l+l]
+			for j, a := range axes {
+				out[j] = r[a] + 0
 			}
 		}
 		return nil
@@ -140,15 +155,7 @@ func (s *Subspace) ProjDistRows(coords Vector, n int, row func(int) Vector, emit
 		panic(fmt.Sprintf("linalg: ProjDistRows coords dim %d, subspace dim %d", len(coords), len(s.basis)))
 	}
 	if axes, ok := s.axisIndices(); ok {
-		for i := 0; i < n; i++ {
-			x := row(i)
-			var sum float64
-			for j, a := range axes {
-				d := coords[j] - (x[a] + 0)
-				sum += d * d
-			}
-			emit(i, math.Sqrt(sum))
-		}
+		AxisDistRows(coords, axes, n, row, emit)
 		return
 	}
 	basis := s.basis
@@ -176,6 +183,25 @@ func (s *Subspace) ProjDistRows(coords Vector, n int, row func(int) Vector, emit
 		var sum float64
 		for j, b := range basis {
 			d := coords[j] - x.Dot(b)
+			sum += d * d
+		}
+		emit(i, math.Sqrt(sum))
+	}
+}
+
+// AxisDistRows is ProjDistRows for the axis-aligned subspace whose j-th
+// basis vector is the standard vector e_axes[j]: each row's coordinates
+// are gathered, exactly as ProjDistTo does for such a subspace, so the
+// distances carry its bits without a subspace being built.
+func AxisDistRows(coords Vector, axes []int, n int, row func(int) Vector, emit func(i int, dist float64)) {
+	if len(coords) != len(axes) {
+		panic(fmt.Sprintf("linalg: AxisDistRows coords dim %d, %d axes", len(coords), len(axes)))
+	}
+	for i := 0; i < n; i++ {
+		x := row(i)
+		var sum float64
+		for j, a := range axes {
+			d := coords[j] - (x[a] + 0)
 			sum += d * d
 		}
 		emit(i, math.Sqrt(sum))

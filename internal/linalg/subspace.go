@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -128,20 +129,23 @@ func FullSpace(d int) *Subspace {
 }
 
 // AxisSubspace returns the axis-parallel subspace spanned by the given
-// attribute indices of R^d.
+// attribute indices of R^d, in their order. The basis vectors share one
+// backing array and the axis decomposition is resolved up front, so the
+// engine can build one per composed axis frame for three allocations.
 func AxisSubspace(d int, attrs []int) (*Subspace, error) {
-	s := &Subspace{ambient: d}
-	seen := make(map[int]bool, len(attrs))
-	for _, a := range attrs {
+	s := &Subspace{ambient: d, basis: make([]Vector, len(attrs))}
+	data := make([]float64, len(attrs)*d)
+	for i, a := range attrs {
 		if a < 0 || a >= d {
 			return nil, fmt.Errorf("linalg: axis %d out of range [0,%d)", a, d)
 		}
-		if seen[a] {
+		if slices.Contains(attrs[:i], a) {
 			return nil, fmt.Errorf("%w: repeated axis %d", ErrDegenerateBasis, a)
 		}
-		seen[a] = true
-		s.basis = append(s.basis, Basis(d, a))
+		s.basis[i] = data[i*d : (i+1)*d : (i+1)*d]
+		s.basis[i][a] = 1
 	}
+	s.axesOnce.Do(func() { s.axes, s.axesOK = slices.Clone(attrs), true })
 	return s, nil
 }
 
