@@ -17,7 +17,7 @@ import (
 // work statistics. The generator is consulted by nearestPositions for
 // full-space scans (sub.Identity()), where the backend's L2 ranking is
 // the engine's ranking, and for axis-aligned subspace scans routed
-// through dataset.AxisRoute (index.Backend.KNNAxis); arbitrary-direction
+// through dataset.Scan.Route (index.Backend.KNNAxis); arbitrary-direction
 // subspaces keep the exact kernels. The backend covers the whole view at
 // every P: the shard coordinator scatters scans only.
 //

@@ -76,7 +76,7 @@ func (sc *searchScratch) floatBuf(n int) []float64 {
 //
 // Beyond the ambient identity scan, the generator is also consulted when
 // the scan resolves to an axis-aligned mask over an ambient view
-// (dataset.AxisRoute): the backend's KNNAxis serves those scans over the
+// (dataset.Scan.Route): the backend's KNNAxis serves those scans over the
 // ambient rows directly, so the index built (or derived) once per view
 // generation is reused across the projection stages instead of being
 // rebuilt per composed frame. Scans that resolve to no route —
@@ -96,12 +96,12 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 	if gen != nil && s > 0 && s < n {
 		var idxCands []index.Candidate
 		var err error
-		origin, axes, routed := dataset.AxisRoute(v, sub)
+		scan := dataset.NewScan(v, sub)
 		if base, _ := v.Base(); sub.Identity() && base == nil {
 			// Ambient full-space scan: the backend's L2 ranking is the
 			// engine's ranking.
 			idxCands, err = gen.candidates(ctx, v, q, s)
-		} else if routed {
+		} else if origin, axes, ok := scan.Route(); ok {
 			// qp is the query in the scanned subspace's coordinates —
 			// exactly the coordinates KNNAxis measures along axes.
 			idxCands, err = gen.candidatesAxis(ctx, origin, qp, axes, s)
@@ -111,17 +111,9 @@ func nearestPositions(ctx context.Context, coord *shard.Coordinator, v *dataset.
 		}
 		if len(idxCands) >= s {
 			cands := scr.candBuf(len(idxCands))
-			rows := v
-			if routed {
-				rows = origin
-			}
-			row := func(i int) linalg.Vector { return rows.Point(idxCands[i].Pos) }
-			emit := func(i int, dist float64) { cands[i] = shard.Cand{Pos: idxCands[i].Pos, Dist: dist} }
-			if routed {
-				linalg.AxisDistRows(qp, axes, len(idxCands), row, emit)
-			} else {
-				sub.ProjDistRows(qp, len(idxCands), row, emit)
-			}
+			scan.DistRows(qp, len(idxCands),
+				func(i int) int { return idxCands[i].Pos },
+				func(i int, dist float64) { cands[i] = shard.Cand{Pos: idxCands[i].Pos, Dist: dist} })
 			shard.SelectNearest(cands, s)
 			return positionsOf(cands[:s]), nil
 		}
@@ -231,7 +223,7 @@ func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
 // view. In axis mode, when the session has handed over its ambient
 // view's column variances (cfg.ambientVar) and v is that view or an axis
 // frame of it, γⱼ is the variance of the ambient attribute behind basis
-// vector j (dataset.AxisRoute): exactly Σⱼⱼ of the view's covariance,
+// vector j (dataset.Scan.Route): exactly Σⱼⱼ of the view's covariance,
 // which is what the quadratic form eⱼᵀΣeⱼ returns when Σ is finite. The
 // session withholds the variances, and γᵢ is read as uᵀΣu off the view's
 // memoized covariance, in two cases where the bits would differ: P ≥ 2
@@ -256,10 +248,10 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 		}
 	}
 
-	// The scan's axis route, if any: member rows are then gathered from
-	// the ambient rows at axes, and axis-mode γ can be read off the
-	// ambient column variances.
-	origin, axes, routed := dataset.AxisRoute(v, within)
+	// The member rows are read through scan; its axis route, if any, lets
+	// axis-mode γ be read off the ambient column variances.
+	scan := dataset.NewScan(v, within)
+	origin, axes, routed := scan.Route()
 
 	// ambientVar, in fast axis mode over the session's ambient rows,
 	// carries γⱼ as ambientVar[axes[j]]. Otherwise fullCov is the fast
@@ -283,18 +275,13 @@ func clusterSubspace(ctx context.Context, cfg ProjectionSearch, v *dataset.View,
 	}
 
 	// memberCoords writes the member coordinates inside within into
-	// scratch (every cell is written, and nothing retains the buffer):
-	// gathered along the route, or projected from v's rows by the blocked
-	// kernel, whose per-entry order matches the former row.Dot loop bit
-	// for bit. No member subset and no frame is materialized.
+	// scratch (every cell is written, and nothing retains the buffer)
+	// through the blocked kernel, whose per-entry order matches the former
+	// row.Dot loop bit for bit. No member subset and no frame is
+	// materialized.
 	memberCoords := func() (*linalg.Matrix, error) {
 		coords := &linalg.Matrix{Rows: len(members), Cols: m, Data: scr.floatBuf(len(members) * m)}
-		if routed {
-			return coords, linalg.GatherRowsInto(ctx, workers, coords, len(members), axes,
-				func(k int) linalg.Vector { return origin.Point(members[k]) })
-		}
-		return coords, within.ProjectRowsInto(ctx, workers, coords, len(members),
-			func(k int) linalg.Vector { return v.Point(members[k]) })
+		return coords, scan.ProjectRowsInto(ctx, workers, coords, members)
 	}
 
 	var directions []linalg.Vector
@@ -615,7 +602,7 @@ func DiscriminationScore(ds *dataset.Dataset, q linalg.Vector, proj *linalg.Subs
 // gather Subspace.ProjectRowsInto runs, which equals the sweep's dot
 // product bit for bit on a finite row. The variances are read off the
 // columns instead of re-sweeping the n×d rows whenever v's rows are known
-// finite without reading them — gathered (dataset.AxisRoute) from a
+// finite without reading them — gathered (dataset.Scan.Route) from a
 // Finite store. Otherwise, as for every other direction, the rows are
 // swept, so a non-finite coordinate anywhere in a row still yields the
 // sweep's NaN (and an axis frame over such a store is materialized).
@@ -624,7 +611,7 @@ func discriminationOf(v *dataset.View, members []int, proj *linalg.Subspace, coo
 		return 0
 	}
 	if coords != nil {
-		if _, _, ok := dataset.AxisRoute(v, proj); !ok || !v.Store().Finite() {
+		if _, _, ok := dataset.NewScan(v, proj).Route(); !ok || !v.Store().Finite() {
 			coords = nil
 		}
 	}

@@ -559,13 +559,13 @@ func (s *Session) runMajorIteration(ctx context.Context, round telemetry.Span) e
 		// An axis complement of the ambient view or of an axis frame is a
 		// column mask over s.data: composed lazily, one hop deep, and never
 		// materialized, because every row reader resolves it through
-		// dataset.AxisRoute. Any other frame materializes eagerly from the
+		// a dataset.Scan. Any other frame materializes eagerly from the
 		// current one into the arena; the current frame's coordinates are
 		// dead after that and its buffer goes back to the arena for the
 		// frame after next. (Reclaim is a no-op on the ambient s.data view
 		// and on axis frames.)
 		var next *dataset.View
-		if _, _, ok := dataset.AxisRoute(dc, complement); ok {
+		if _, _, ok := dataset.NewScan(dc, complement).Route(); ok {
 			next, err = dc.Compose(complement)
 		} else {
 			next, err = dc.ComposeArenaContext(ctx, s.cfg.Workers, complement, &s.arena)

@@ -12,9 +12,9 @@ import (
 // D_{k+1} = Proj(D_k, E_new) is computed from the previous frame's
 // coordinates and then makes them dead, so a session can ping-pong
 // between a couple of buffers instead of allocating a fresh n×dim matrix
-// every minor iteration. Axis frames never need one: an axis composition
-// is a column mask over its ambient base (see Compose and AxisRoute),
-// read in place and never materialized.
+// every minor iteration. Axis frames of an ambient view never need one:
+// such an axis composition is a column mask over the ambient view (see
+// Compose and Scan), read in place and never materialized.
 //
 // Arena-composed views trade away the View type's headline guarantees:
 // they are single-owner (one goroutine drives Compose/Reclaim; concurrent

@@ -81,10 +81,10 @@ func eagerFrame(ctx context.Context, prev *View, sub *linalg.Subspace, a *Arena)
 // view, and eagerly (eagerFrame), where each frame is materialized from
 // the previous one into an arena and the previous buffer reclaimed.
 // Per frame it checks:
-//   - the rows gathered from the ambient view along AxisRoute, which
+//   - the rows a Scan of the frame gathers from the ambient view, which
 //     leaves the frame unmaterialized, and the lazy frame's Coords;
 //   - Stats(ctx, 1) mean and covariance;
-//   - the ambient ColumnVariances at the frame's AxisRoute against both
+//   - the ambient ColumnVariances at the scan's route against both
 //     covariance diagonals;
 //   - Narrow of the flattened frame.
 func FuzzAxisFrame(f *testing.F) {
@@ -147,12 +147,17 @@ func FuzzAxisFrame(f *testing.F) {
 			if base != ambient {
 				t.Fatalf("step %d: flattened frame's base is not the ambient view", step)
 			}
-			origin, axes, ok := AxisRoute(lazy, linalg.FullSpace(lazy.Dim()))
+			scan := NewScan(lazy, linalg.FullSpace(lazy.Dim()))
+			origin, axes, ok := scan.Route()
 			if !ok || origin != ambient {
-				t.Fatalf("step %d: AxisRoute does not resolve the frame to the ambient view", step)
+				t.Fatalf("step %d: the scan does not route the frame to the ambient view", step)
+			}
+			all := make([]int, lazy.N())
+			for i := range all {
+				all[i] = i
 			}
 			gathered := linalg.NewMatrix(lazy.N(), len(axes))
-			if err := linalg.GatherRowsInto(ctx, 2, gathered, lazy.N(), axes, origin.Point); err != nil {
+			if err := scan.ProjectRowsInto(ctx, 2, gathered, all); err != nil {
 				t.Fatal(err)
 			}
 			if lazy.mat != nil {
@@ -199,7 +204,7 @@ func FuzzAxisFrame(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, ok := AxisRoute(ln, linalg.FullSpace(ln.Dim())); !ok {
+			if _, _, ok := NewScan(ln, linalg.FullSpace(ln.Dim())).Route(); !ok {
 				t.Fatalf("step %d: narrowed flattened frame has no axis route", step)
 			}
 			if !sameBits(ln.Coords().Data, en.Coords().Data) {

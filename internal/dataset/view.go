@@ -21,12 +21,13 @@ import (
 // access, with exactly the float-operation order of the eager
 // Subspace.ProjectRows path, so results are bit-identical to projecting a
 // copy. Materialization is guarded by a sync.Once: views are safe for
-// concurrent readers at any worker count. An axis composition is a
-// column mask: Compose keeps it one hop above its base, and readers that
-// resolve their rows through AxisRoute gather the masked columns from
-// the base, so an axis frame is materialized only if something reads it
-// through Point or Coords. The engine materializes only
-// arbitrary-direction frames, eagerly, into an Arena.
+// concurrent readers at any worker count. An axis composition over an
+// ambient view, or over an axis frame of one, is a column mask: Compose
+// keeps it one hop above the ambient view, and readers that resolve
+// their rows through a Scan gather the masked columns from there, so an
+// axis frame is materialized only if something reads it through Point or
+// Coords. The engine materializes only the other frames, eagerly, into
+// an Arena.
 //
 // A View never mutates its store; normalization and CSV loading — the
 // places a copy still happens — build fresh stores instead.
@@ -299,72 +300,116 @@ func RowsBetween(ancestor, v *View) (rows []int, ok bool) {
 // sub (coordinates in sub's basis). The projection is applied lazily on
 // first row access; until then no point data is touched.
 //
-// An axis-aligned sub over an axis frame (a view whose own projection is
-// axis-aligned) collapses into one axis projection of that frame's base:
-// picking attributes of picked attributes is picking attributes, and
-// each gathered coordinate x+0 is unchanged by a second +0, so the rows
-// carry the bits of the two-hop chain. An axis chain is therefore never
-// more than one hop deep, and AxisRoute resolves it without a walk.
+// An axis-aligned sub over an axis frame of an ambient view collapses
+// into one axis projection of that ambient view (the scan's route; see
+// NewScan): picking attributes of picked attributes is picking
+// attributes, and each gathered coordinate x+0 is unchanged by a second
+// +0, so the rows carry the bits of the two-hop chain. An axis chain over
+// an ambient view is therefore never more than one hop deep. A frame
+// over a projected base is never flattened past it: that base may be an
+// arena frame whose rows are reclaimed once the frame is built.
 func (v *View) Compose(sub *linalg.Subspace) (*View, error) {
 	if sub.Ambient() != v.Dim() {
 		return nil, fmt.Errorf("%w: rows have dim %d, ambient %d",
 			linalg.ErrDimensionMismatch, v.Dim(), sub.Ambient())
 	}
 	if v.base != nil {
-		if axes, ok := composeAxes(v.proj, sub); ok {
-			flat, err := linalg.AxisSubspace(v.base.Dim(), axes)
+		if origin, axes, ok := axisRoute(v, sub); ok {
+			flat, err := linalg.AxisSubspace(origin.Dim(), axes)
 			if err != nil {
 				return nil, err
 			}
-			return &View{store: v.store, base: v.base, proj: flat}, nil
+			return &View{store: v.store, base: origin, proj: flat}, nil
 		}
 	}
 	return &View{store: v.store, base: v, proj: sub}, nil
 }
 
-// composeAxes returns, when both frame and sub are axis-aligned, the
-// attribute of frame's input behind each of sub's basis vectors. The
-// slice is fresh; frame and sub's axis memos are left untouched.
-func composeAxes(frame, sub *linalg.Subspace) ([]int, bool) {
-	faxes, ok := frame.AxisIndices()
-	if !ok {
-		return nil, false
-	}
+// axisRoute resolves a pass over v along sub to a column mask of an
+// ambient view. ok reports that sub is axis-aligned and v is either
+// ambient or an axis frame over an ambient view; origin is then that
+// ambient view (v itself, or the frame's base) and axes[j] is origin's
+// attribute behind sub's j-th basis vector. Positions in v and origin
+// coincide (Compose preserves row order), and gathering origin's rows at
+// axes yields bit for bit what projecting v's rows through sub would.
+// Any arbitrary-direction projection re-coordinatizes the data, and so
+// does any frame over one: ok is false. axes is read-only.
+func axisRoute(v *View, sub *linalg.Subspace) (origin *View, axes []int, ok bool) {
 	saxes, ok := sub.AxisIndices()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	axes := make([]int, len(saxes))
-	for i, a := range saxes {
-		axes[i] = faxes[a]
-	}
-	return axes, true
-}
-
-// AxisRoute gives the rows a pass over v along sub reads. ok reports
-// that sub is axis-aligned and v is either ambient or an axis frame over
-// an ambient view; origin is then that ambient view (v itself, or the
-// frame's base) and axes[j] is origin's attribute behind sub's j-th
-// basis vector. Positions in v and origin coincide (Compose preserves
-// row order), and gathering origin's rows at axes (linalg.GatherRowsInto,
-// linalg.AxisDistRows) yields bit for bit what projecting v's rows
-// through sub would, so a reader that follows the route never
-// materializes an axis frame, and an index built over origin serves the
-// scan through its axis search. When ok is false the reader projects
-// v's rows through sub: any arbitrary-direction projection
-// re-coordinatizes the data. axes is read-only.
-func AxisRoute(v *View, sub *linalg.Subspace) (origin *View, axes []int, ok bool) {
 	if v.base == nil {
-		axes, ok = sub.AxisIndices()
-		return v, axes, ok
+		return v, saxes, true
 	}
 	if v.base.base != nil {
 		return nil, nil, false
 	}
-	if axes, ok = composeAxes(v.proj, sub); !ok {
+	faxes, ok := v.proj.AxisIndices()
+	if !ok {
 		return nil, nil, false
 	}
+	axes = make([]int, len(saxes))
+	for i, a := range saxes {
+		axes[i] = faxes[a]
+	}
 	return v.base, axes, true
+}
+
+// Scan reads v's rows along sub for every pass over projected rows: the
+// nearest scans, the candidate re-rank and the cluster members'
+// coordinates. It resolves its route once (NewScan). A routed scan
+// gathers the masked columns of the ambient rows (linalg.GatherRowsInto,
+// linalg.AxisDistRows), and any other projects v's rows through sub;
+// both give the bits of projecting v's rows through sub, and neither
+// materializes an axis frame. Positions passed to its readers are v's.
+type Scan struct {
+	rows   *View // origin when routed, else v
+	sub    *linalg.Subspace
+	axes   []int
+	routed bool
+}
+
+// NewScan resolves a pass over v along sub.
+func NewScan(v *View, sub *linalg.Subspace) Scan {
+	if origin, axes, ok := axisRoute(v, sub); ok {
+		return Scan{rows: origin, sub: sub, axes: axes, routed: true}
+	}
+	return Scan{rows: v, sub: sub}
+}
+
+// Route reports the scan's axis route: ok when the scan is a column mask
+// of the ambient view origin at attributes axes (read-only). An index
+// built over origin then serves the scan through its axis search.
+func (s Scan) Route() (origin *View, axes []int, ok bool) {
+	if !s.routed {
+		return nil, nil, false
+	}
+	return s.rows, s.axes, true
+}
+
+// DistRows calls emit(i, ‖qp − Proj(row, sub)‖) for i = 0 … n−1, row
+// being v's row at position pos(i), with the bits of
+// Subspace.ProjDistRows.
+func (s Scan) DistRows(qp linalg.Vector, n int, pos func(int) int, emit func(i int, dist float64)) {
+	row := func(i int) linalg.Vector { return s.rows.Point(pos(i)) }
+	if s.routed {
+		linalg.AxisDistRows(qp, s.axes, n, row, emit)
+		return
+	}
+	s.sub.ProjDistRows(qp, n, row, emit)
+}
+
+// ProjectRowsInto writes the coordinates in sub of v's rows at the given
+// positions into the first len(positions) rows of dst, with the bits and
+// the worker contract of Subspace.ProjectRowsInto.
+func (s Scan) ProjectRowsInto(ctx context.Context, workers int, dst *linalg.Matrix, positions []int) error {
+	rows := s.rows
+	row := func(k int) linalg.Vector { return rows.Point(positions[k]) }
+	if s.routed {
+		return linalg.GatherRowsInto(ctx, workers, dst, len(positions), s.axes, row)
+	}
+	return s.sub.ProjectRowsInto(ctx, workers, dst, len(positions), row)
 }
 
 // materialized computes (once) the projected coordinates of every base

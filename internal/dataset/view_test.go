@@ -163,6 +163,73 @@ func TestViewComposeArenaBitIdentical(t *testing.T) {
 	}
 }
 
+// TestComposeAxisOverArenaFrame pins that Compose flattens an axis
+// composition only over an axis frame of an ambient view. An arbitrary
+// frame F1 is followed by an axis frame F2 over it, and F1's buffer is
+// reclaimed, as the session's sweep does; an axis composition over F2
+// must stay a hop over the live F2 rather than reach down into F1.
+func TestComposeAxisOverArenaFrame(t *testing.T) {
+	ctx := context.Background()
+	ds := viewTestDataset(t, 30, 5, 7)
+	rot, err := linalg.NewSubspace(5, []linalg.Vector{
+		{1, 1, 0, 0, 0}, {0, 0, 1, 0, 0}, {1, -1, 0, 1, 0}, {0, 0, 0, 0, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask, err := linalg.AxisSubspace(4, []int{0, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick, err := linalg.AxisSubspace(3, []int{2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference chain: every hop eager, no arena, nothing reclaimed.
+	r1, err := eagerFrame(ctx, ds.View(), rot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := eagerFrame(ctx, r1, mask, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eagerFrame(ctx, r2, pick, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var a Arena
+	f1, err := ds.View().ComposeArenaContext(ctx, 1, rot, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := f1.ComposeArenaContext(ctx, 1, mask, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1.Reclaim()
+
+	lazy, err := f2.Compose(pick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, _ := lazy.Base(); base != f2 {
+		t.Fatal("axis composition over an arena frame was flattened past it")
+	}
+	if !sameBits(lazy.Coords().Data, want.Coords().Data) {
+		t.Fatalf("lazy coords %v, want %v", lazy.Coords().Data, want.Coords().Data)
+	}
+	f3, err := f2.ComposeArenaContext(ctx, 1, pick, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(f3.Coords().Data, want.Coords().Data) {
+		t.Fatalf("arena coords %v, want %v", f3.Coords().Data, want.Coords().Data)
+	}
+}
+
 func TestViewConcurrentReaders(t *testing.T) {
 	ds := viewTestDataset(t, 200, 8, 4)
 	sub, err := linalg.NewSubspace(8, []linalg.Vector{

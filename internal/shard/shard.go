@@ -120,19 +120,15 @@ const cancelStride = 1024
 // rows in blocks of cancelStride through Subspace.ProjDistRows, the
 // row-tiled form of ProjDistTo with the same bits (shared with the
 // projection kernel's determinism contract), so the distances do not
-// depend on the worker count. A scan with an axis route
-// (dataset.AxisRoute) gathers the masked columns of the ambient rows
-// through linalg.AxisDistRows instead, with the same bits, so an axis
-// frame is never materialized. Only the k survivors are copied out, so a
-// call allocates O(k), not O(rows).
+// depend on the worker count. The rows are read through a dataset.Scan,
+// so an axis frame is gathered from its ambient rows with the same bits
+// and never materialized. Only the k survivors are copied out, so a call
+// allocates O(k), not O(rows).
 func nearestWindow(ctx context.Context, v *dataset.View, sub *linalg.Subspace, qp linalg.Vector, k, lo, hi, workers int, buf *[]Cand) ([]Cand, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	rows, axes, routed := dataset.AxisRoute(v, sub)
-	if !routed {
-		rows = v
-	}
+	scan := dataset.NewScan(v, sub)
 	n := hi - lo
 	if cap(*buf) < n {
 		*buf = make([]Cand, n)
@@ -145,13 +141,9 @@ func nearestWindow(ctx context.Context, v *dataset.View, sub *linalg.Subspace, q
 			}
 			block := near[b:min(b+cancelStride, shi)]
 			first := lo + b
-			row := func(i int) linalg.Vector { return rows.Point(first + i) }
-			emit := func(i int, dist float64) { block[i] = Cand{Pos: first + i, Dist: dist} }
-			if routed {
-				linalg.AxisDistRows(qp, axes, len(block), row, emit)
-			} else {
-				sub.ProjDistRows(qp, len(block), row, emit)
-			}
+			scan.DistRows(qp, len(block),
+				func(i int) int { return first + i },
+				func(i int, dist float64) { block[i] = Cand{Pos: first + i, Dist: dist} })
 		}
 		return nil
 	})
