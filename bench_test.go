@@ -129,18 +129,6 @@ func BenchmarkContrastMotivation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAxisParallel measures the axis-parallel vs arbitrary
-// projection ablation.
-func BenchmarkAblationAxisParallel(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Queries = 3
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAblationAxisParallel(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationGrading measures the graded-vs-direct subspace
 // determination ablation.
 func BenchmarkAblationGrading(b *testing.B) {

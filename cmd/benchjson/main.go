@@ -36,6 +36,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"innsearch/internal/stats"
 )
 
 // Record is one benchmark result. AllocsPerOp and BytesPerOp are -1 when
@@ -94,8 +96,9 @@ func parse(r io.Reader) ([]Record, error) {
 }
 
 // medianRecord collapses the samples of one benchmark into a record whose
-// every numeric field is the median of that field over the samples (the
-// mean of the middle two for an even count). One sample is returned as is.
+// every numeric field is the median of that field over the samples
+// (stats.Quantile at 0.5: the mean of the middle two for an even count).
+// One sample is returned as is.
 func medianRecord(samples []Record) Record {
 	if len(samples) == 1 {
 		return samples[0]
@@ -105,12 +108,8 @@ func medianRecord(samples []Record) Record {
 		for i, s := range samples {
 			v[i] = field(s)
 		}
-		sort.Float64s(v)
-		n := len(v)
-		if n%2 == 1 {
-			return v[n/2]
-		}
-		return (v[n/2-1] + v[n/2]) / 2
+		m, _ := stats.Quantile(v, 0.5) // v is non-empty
+		return m
 	}
 	return Record{
 		Name:        samples[0].Name,

@@ -93,7 +93,6 @@ func main() {
 			}
 			return r.Table, nil
 		}},
-		{"ablation-axis", true, experiments.RunAblationAxisParallel},
 		{"ablation-grading", true, experiments.RunAblationGrading},
 		{"ablation-support", true, experiments.RunAblationSupport},
 		{"ablation-grid", true, experiments.RunAblationGrid},

@@ -142,15 +142,10 @@ func positionsOf(cands []shard.Cand) []int {
 // same bits, without materializing a member subset or cloning the
 // direction per sweep.
 func varianceAlongUnit(v *dataset.View, positions []int, u linalg.Vector) float64 {
+	var sum, sumSq float64
 	n := len(positions)
 	if positions == nil {
 		n = v.N()
-	}
-	if n < 2 {
-		return 0
-	}
-	var sum, sumSq float64
-	if positions == nil {
 		for i := 0; i < n; i++ {
 			p := v.Point(i).Dot(u)
 			sum += p
@@ -163,12 +158,7 @@ func varianceAlongUnit(v *dataset.View, positions []int, u linalg.Vector) float6
 			sumSq += p * p
 		}
 	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 { // numeric noise
-		variance = 0
-	}
-	return variance
+	return linalg.OnePassVariance(sum, sumSq, n)
 }
 
 // columnVariance is varianceAlongUnit over column col of m: the same
@@ -176,15 +166,10 @@ func varianceAlongUnit(v *dataset.View, positions []int, u linalg.Vector) float6
 // returns the same bits whenever the column holds the values the sweep's
 // dot products would produce.
 func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
+	var sum, sumSq float64
 	n := len(positions)
 	if positions == nil {
 		n = m.Rows
-	}
-	if n < 2 {
-		return 0
-	}
-	var sum, sumSq float64
-	if positions == nil {
 		for i := 0; i < n; i++ {
 			p := m.Data[i*m.Cols+col]
 			sum += p
@@ -197,12 +182,7 @@ func columnVariance(m *linalg.Matrix, col int, positions []int) float64 {
 			sumSq += p * p
 		}
 	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 { // numeric noise
-		variance = 0
-	}
-	return variance
+	return linalg.OnePassVariance(sum, sumSq, n)
 }
 
 // clusterSubspace realizes QueryClusterSubspace (Figure 4): it returns the

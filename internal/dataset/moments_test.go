@@ -56,32 +56,24 @@ func (s *windowScatter) Run(ctx context.Context, stage string, _ int, part func(
 }
 
 // TestMomentPartialFullRangeBitIdentical is the P=1 contract: the
-// composition over one full-range window must reproduce Stats bit for
-// bit, through the two named passes.
+// composition over one full-range window must reproduce the matrix
+// covariance kernel bit for bit, through the two named passes.
 func TestMomentPartialFullRangeBitIdentical(t *testing.T) {
 	ds := randomViewDataset(t, 21, 300, 7)
 	v := ds.View()
 	ctx := context.Background()
-	want, err := v.Stats(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := v.Coords().Covariance()
 	sc := &windowScatter{windows: [][2]int{{0, v.N()}}}
-	st, err := v.shardedMoments(ctx, sc)
+	st, err := v.moments(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stages := []string{"stats/sums", "stats/moments"}; !reflect.DeepEqual(sc.stages, stages) {
 		t.Fatalf("passes %v, want %v", sc.stages, stages)
 	}
-	for j := range want.Mean {
-		if st.Mean[j] != want.Mean[j] {
-			t.Errorf("mean[%d] = %v, want %v (not bit-identical)", j, st.Mean[j], want.Mean[j])
-		}
-	}
-	for k := range want.Cov.Data {
-		if st.Cov.Data[k] != want.Cov.Data[k] {
-			t.Errorf("cov[%d] = %v, want %v (not bit-identical)", k, st.Cov.Data[k], want.Cov.Data[k])
+	for k := range want.Data {
+		if st.Cov.Data[k] != want.Data[k] {
+			t.Errorf("cov[%d] = %v, want %v (not bit-identical)", k, st.Cov.Data[k], want.Data[k])
 		}
 	}
 }
@@ -102,14 +94,9 @@ func TestMomentMergeMatchesUnsharded(t *testing.T) {
 	scale := want.Cov.MaxAbs()
 	for trial := 0; trial < 20; trial++ {
 		p := 2 + r.Intn(7)
-		st, err := v.shardedMoments(ctx, &windowScatter{windows: shardCuts(r, v.N(), p)})
+		st, err := v.moments(ctx, &windowScatter{windows: shardCuts(r, v.N(), p)})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for j := range want.Mean {
-			if d := math.Abs(st.Mean[j] - want.Mean[j]); d > 1e-10*math.Max(1, math.Abs(want.Mean[j])) {
-				t.Errorf("trial %d (p=%d): mean[%d] = %v, want %v", trial, p, j, st.Mean[j], want.Mean[j])
-			}
 		}
 		for k := range want.Cov.Data {
 			if d := math.Abs(st.Cov.Data[k] - want.Cov.Data[k]); d > 1e-10*scale {
@@ -194,7 +181,7 @@ func TestMomentKernelCancellation(t *testing.T) {
 	for _, stage := range []string{"stats/sums", "stats/moments"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		sc := &windowScatter{windows: [][2]int{{0, 20}, {20, 50}}, cancelAt: stage, cancel: cancel}
-		if _, err := v.shardedMoments(ctx, sc); !errors.Is(err, context.Canceled) {
+		if _, err := v.moments(ctx, sc); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s ignored cancellation: got %v", stage, err)
 		}
 		cancel()

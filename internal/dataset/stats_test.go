@@ -29,7 +29,7 @@ func randomViewDataset(t *testing.T, seed int64, n, d int) *Dataset {
 
 // TestViewStatsMemoized checks the memo: repeated Stats calls on one view
 // return the same pointer (one O(N·d²) pass per view generation), and the
-// values match a direct covariance/mean of the coordinates.
+// values match a direct covariance of the coordinates.
 func TestViewStatsMemoized(t *testing.T) {
 	ds := randomViewDataset(t, 3, 120, 6)
 	v := ds.View()
@@ -46,12 +46,7 @@ func TestViewStatsMemoized(t *testing.T) {
 		t.Error("second Stats call did not return the memoized pointer")
 	}
 	m := v.Coords()
-	wantCov, wantMean := m.Covariance(), m.Mean()
-	for j := range wantMean {
-		if st.Mean[j] != wantMean[j] {
-			t.Errorf("mean[%d] = %v, want %v", j, st.Mean[j], wantMean[j])
-		}
-	}
+	wantCov := m.Covariance()
 	for k := range wantCov.Data {
 		if st.Cov.Data[k] != wantCov.Data[k] {
 			t.Errorf("cov entry %d = %v, want %v", k, st.Cov.Data[k], wantCov.Data[k])
@@ -60,10 +55,9 @@ func TestViewStatsMemoized(t *testing.T) {
 }
 
 // TestViewStatsPullThrough checks the congruence shortcut on composed
-// views: stats pulled down through the projection chain (Σ′ = BΣBᵀ,
-// mean′ = Proj(mean)) agree with a direct covariance of the projected
-// coordinates to ≤ 1e-10 relative — without the projected view ever
-// sweeping its row data.
+// views: stats pulled down through the projection chain (Σ′ = BΣBᵀ)
+// agree with a direct covariance of the projected coordinates to ≤ 1e-10
+// relative — without the projected view ever sweeping its row data.
 func TestViewStatsPullThrough(t *testing.T) {
 	ds := randomViewDataset(t, 9, 200, 8)
 	sub, err := linalg.NewSubspace(8, []linalg.Vector{
@@ -83,16 +77,11 @@ func TestViewStatsPullThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := pv.Coords()
-	direct, directMean := m.Covariance(), m.Mean()
+	direct := m.Covariance()
 	scale := direct.MaxAbs()
 	for k := range direct.Data {
 		if d := math.Abs(st.Cov.Data[k] - direct.Data[k]); d > 1e-10*scale {
 			t.Errorf("pulled cov entry %d = %v, direct %v", k, st.Cov.Data[k], direct.Data[k])
-		}
-	}
-	for j := range directMean {
-		if d := math.Abs(st.Mean[j] - directMean[j]); d > 1e-10 {
-			t.Errorf("pulled mean[%d] = %v, direct %v", j, st.Mean[j], directMean[j])
 		}
 	}
 }

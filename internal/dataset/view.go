@@ -54,8 +54,8 @@ type View struct {
 	parent     *View
 	parentRows []int
 
-	// statsMu guards the lazily memoized first/second moments, one slot
-	// per row-partition count P; see ShardedStats. A mutex rather than a
+	// statsMu guards the lazily memoized moments, one slot per
+	// row-partition count P; see ShardedStats. A mutex rather than a
 	// sync.Once so that a context-canceled attempt does not poison the
 	// memo — the next caller simply retries.
 	statsMu sync.Mutex
@@ -69,78 +69,66 @@ type statsSlot struct {
 	st *ViewStats
 }
 
-// ViewStats are the memoized first and second moments of a view's rows:
-// the column mean and the covariance Σ (MLE, normalized by n). One
-// covariance pass per view generation replaces the engine's per-direction
-// O(N·d) full-data variance sweeps with O(d²) quadratic forms uᵀΣu, and a
-// projected view derives its Σ from its base's by the congruence B·Σ·Bᵀ
-// instead of re-estimating over the data. The struct is immutable once
-// published; callers must not mutate Mean or Cov.
+// ViewStats are the memoized second moments of a view's rows: the
+// covariance Σ (MLE, normalized by n). One covariance pass per view
+// generation replaces the engine's per-direction O(N·d) full-data
+// variance sweeps with O(d²) quadratic forms uᵀΣu, and a projected view
+// derives its Σ from its base's by the congruence B·Σ·Bᵀ instead of
+// re-estimating over the data. The struct is immutable once published;
+// callers must not mutate Cov.
 type ViewStats struct {
-	Mean linalg.Vector
-	Cov  *linalg.Matrix
+	Cov *linalg.Matrix
 }
 
-// Stats returns the view's memoized mean and covariance, computing them on
-// first call: ambient views run one parallel covariance pass over their
-// rows; projected views pull their base's stats through the projection
-// (Mean′ = Proj(Mean), Σ′ = B·Σ·Bᵀ), which costs O(d³) instead of O(N·d²)
-// down the engine's complement chains and never touches row data — so it
-// stays valid even after an arena view's coordinate buffer is reclaimed,
-// as long as the base's stats were computed first. Narrowing yields a
-// fresh view, so pruning invalidates the memo by construction. Safe for
-// concurrent callers; the memo is only written on success. Stats is the
-// P=1 slot of ShardedStats.
+// Stats returns the view's memoized covariance, computing it on first
+// call: it is ShardedStats over one window (parallel.Whole), so ambient
+// views run the moment composition of moments.go once over all their rows
+// with the given worker budget, reading rows in place, and projected
+// views pull their base's Σ through the projection. Stats is the P=1
+// slot of ShardedStats.
 func (v *View) Stats(ctx context.Context, workers int) (*ViewStats, error) {
-	return v.memoStats(ctx, 1, func(ctx context.Context, a *View) (*ViewStats, error) {
-		m := a.Coords()
-		cov, err := m.CovarianceContext(ctx, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &ViewStats{Mean: m.Mean(), Cov: cov}, nil
-	})
+	return v.ShardedStats(ctx, parallel.Whole(workers))
 }
 
-// ShardedStats is Stats for the P-way row partition of sc (P =
-// sc.Shards()): ambient views run the two scattered moment passes of
-// moments.go over sc, projected views pull their base's slot P through
-// the projection. Each P has its own memo slot on the view, shared by
-// every caller — so sessions over one store share the root view's
-// moments at their partition count, and the memo is freed with the
-// view. Different P agree only to ≤ 1e-10 relative, which is why they
-// never share a slot.
+// ShardedStats returns the view's memoized covariance for the P-way row
+// partition of sc (P = sc.Shards()), computing it on first call: ambient
+// views run the two scattered moment passes of moments.go over sc;
+// projected views pull their base's slot P through the projection
+// (Σ′ = B·Σ·Bᵀ), which costs O(d³) instead of O(N·d²) down the engine's
+// complement chains and never touches row data — so it stays valid even
+// after an arena view's coordinate buffer is reclaimed, as long as the
+// base's stats were computed first. Each P has its own memo slot on the
+// view, shared by every caller — so sessions over one store share the
+// root view's moments at their partition count, and the memo is freed
+// with the view. Different P agree only to ≤ 1e-10 relative, which is
+// why they never share a slot. Narrowing yields a fresh view, so pruning
+// invalidates the memo by construction. Safe for concurrent callers: the
+// moments run outside the memo lock, concurrent first callers may each
+// run them, and all of them get the pointer published first; the memo is
+// only written on success.
 func (v *View) ShardedStats(ctx context.Context, sc parallel.Scatter) (*ViewStats, error) {
-	return v.memoStats(ctx, sc.Shards(), func(ctx context.Context, a *View) (*ViewStats, error) {
-		return a.shardedMoments(ctx, sc)
-	})
-}
-
-// memoStats returns the memo slot for partition count p, filling it on
-// first call: ambient views run moments, projected views pull their
-// base's slot p through the projection. moments runs outside the memo
-// lock; concurrent first callers may each run it, and all of them get
-// the pointer published first.
-func (v *View) memoStats(ctx context.Context, p int, moments func(context.Context, *View) (*ViewStats, error)) (*ViewStats, error) {
+	p := sc.Shards()
 	v.statsMu.Lock()
 	st := v.memoized(p)
 	v.statsMu.Unlock()
 	if st != nil {
 		return st, nil
 	}
-	var err error
 	if v.base != nil {
-		var bst *ViewStats
-		if bst, err = v.base.memoStats(ctx, p, moments); err != nil {
+		bst, err := v.base.ShardedStats(ctx, sc)
+		if err != nil {
 			return nil, err
 		}
 		cov, err := v.proj.PullThroughCov(bst.Cov)
 		if err != nil {
 			return nil, err
 		}
-		st = &ViewStats{Mean: v.proj.Project(bst.Mean), Cov: cov}
-	} else if st, err = moments(ctx, v); err != nil {
-		return nil, err
+		st = &ViewStats{Cov: cov}
+	} else {
+		var err error
+		if st, err = v.moments(ctx, sc); err != nil {
+			return nil, err
+		}
 	}
 	v.statsMu.Lock()
 	defer v.statsMu.Unlock()

@@ -27,43 +27,6 @@ func addOracleRow(t *Table, pd *synth.ProjectedData, queries []int, sc core.Conf
 	return nil
 }
 
-// RunAblationAxisParallel compares axis-parallel against arbitrary
-// projections on both synthetic workloads: axis projections should win on
-// axis-aligned clusters (Case 1) and arbitrary projections on rotated
-// clusters (Case 2).
-func RunAblationAxisParallel(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		Title:   "Ablation: axis-parallel vs arbitrary projections",
-		Caption: "(each workload is best served by the projection family matching its cluster orientation)",
-		Header:  []string{"Data Set", "Mode", "Precision", "Recall"},
-	}
-	for _, spec := range []struct {
-		name string
-		gen  func(int, *rand.Rand) (*synth.ProjectedData, error)
-		off  int64
-	}{
-		{"Synthetic 1", synth.Case1, 31},
-		{"Synthetic 2", synth.Case2, 32},
-	} {
-		pd, queries, err := workload(cfg, spec.gen, spec.off)
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range []struct {
-			name string
-			m    core.ProjectionMode
-		}{{"axis-parallel", core.ModeAxis}, {"arbitrary", core.ModeArbitrary}} {
-			sc := sessionConfig(cfg, pd.Data.N())
-			sc.Mode = mode.m
-			if err := addOracleRow(t, pd, queries, sc, nil, spec.name, mode.name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
-}
-
 // RunAblationGrading tests the graded subspace determination (§2.1):
 // halving the dimensionality step by step against jumping straight to a
 // 2-D pick, crossed with the stage-support floor (StageSupportFactor 1 is

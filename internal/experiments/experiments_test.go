@@ -246,7 +246,6 @@ func TestAblationRunnersExecute(t *testing.T) {
 	cfg.Queries = 3
 	cfg.N = 1000
 	runners := map[string]func(Config) (*Table, error){
-		"axis":      RunAblationAxisParallel,
 		"grading":   RunAblationGrading,
 		"support":   RunAblationSupport,
 		"grid":      RunAblationGrid,

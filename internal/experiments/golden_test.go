@@ -58,7 +58,6 @@ func goldenTables(t *testing.T) []byte {
 			}
 			return r.Table, nil
 		}},
-		{"ablation-axis", RunAblationAxisParallel},
 		{"ablation-grading", RunAblationGrading},
 		{"ablation-support", RunAblationSupport},
 		{"ablation-grid", RunAblationGrid},

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"innsearch/internal/linalg"
+	"innsearch/internal/parallel"
 )
 
 // ErrBadInput flags invalid estimation inputs (no points, wrong shape,
@@ -213,7 +214,7 @@ func Estimate2DContext(ctx context.Context, points *linalg.Matrix, opts Options)
 // requiring the coordinates to live in a matrix. It is the partial/merge
 // composition of partial.go run over one window.
 func Estimate2DSourceContext(ctx context.Context, points XYSource, opts Options) (*Grid, error) {
-	return Estimate2DScatter(ctx, whole{workers: opts.Workers}, points, opts)
+	return Estimate2DScatter(ctx, parallel.Whole(opts.Workers), points, opts)
 }
 
 // gaussianTaps samples exp(−(k·step)²/(2h²)) for k = −R…R with R = ⌈5h/step⌉.

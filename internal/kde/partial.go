@@ -20,8 +20,9 @@ import (
 //	           node sums), merged by entrywise addition
 //	finish   — bandwidths → grid geometry → convolution/normalization
 //
-// The unsharded estimators run the composition over one window (whole);
-// a shard coordinator runs it over its P windows (Estimate2DScatter).
+// The unsharded estimators run the composition over one window
+// (parallel.Whole); a shard coordinator runs it over its P windows
+// (Estimate2DScatter).
 // Determinism rules: each partial sweeps its rows in ascending order,
 // partials merge in ascending window order, and the finish runs once
 // after the merge. A single window therefore carries exactly the
@@ -109,16 +110,6 @@ func Estimate2DScatter(ctx context.Context, sc parallel.Scatter, points XYSource
 		}
 	}
 	return g, nil
-}
-
-// whole is the one-window scatter of the unsharded estimators: every
-// pass runs once over all rows with the whole worker budget.
-type whole struct{ workers int }
-
-func (whole) Shards() int { return 1 }
-
-func (s whole) Run(ctx context.Context, _ string, n int, part func(ctx context.Context, w, lo, hi, workers int) error) error {
-	return part(ctx, 0, 0, n, s.workers)
 }
 
 // extent is the first-pass density partial over a row range: row count,

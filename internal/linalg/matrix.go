@@ -188,54 +188,114 @@ func (m *Matrix) Covariance() *Matrix {
 }
 
 // covParallelMinOps is the approximate accumulation-op count (rows ×
-// cols²/2) below which CovarianceContext stays serial: goroutine fan-out
+// cols²/2) below which CenteredMoment stays serial: goroutine fan-out
 // costs more than it saves on tiny matrices.
 const covParallelMinOps = 1 << 15
 
+// momentCancelStride is how many rows CenteredMoment sweeps between
+// context checks: frequent enough that a canceled session abandons a
+// sweep mid-pass, rare enough to stay off the profile.
+const momentCancelStride = 1024
+
 // CovarianceContext is Covariance with cooperative cancellation and a
-// worker count (≤ 0 means GOMAXPROCS). The upper-triangular output rows
-// are sharded across workers; every entry accumulates over the data rows
-// in the same order as the serial path, so the result is bit-identical at
-// any worker count. The only possible error is the context's.
+// worker count (≤ 0 means GOMAXPROCS): CenteredMoment about Mean, then
+// FinishCovariance. The result is bit-identical at any worker count. The
+// only possible error is the context's.
 func (m *Matrix) CovarianceContext(ctx context.Context, workers int) (*Matrix, error) {
-	d := m.Cols
-	cov := NewMatrix(d, d)
-	n := m.Rows
-	if n < 2 {
-		return cov, ctx.Err()
+	cov, err := CenteredMoment(ctx, workers, m.Rows, m.Row, m.Mean())
+	if err != nil {
+		return nil, err
 	}
+	cov.FinishCovariance(m.Rows)
+	return cov, nil
+}
+
+// CenteredMoment returns the upper-triangular centered second moment of
+// the rows row(0), …, row(n−1) about mean: M2[a][b] = Σᵢ (xᵢₐ−μₐ)(xᵢᵦ−μᵦ)
+// for b ≥ a, each entry summed over the rows in ascending order, with
+// rows whose deviation xᵢₐ−μₐ is exactly zero skipped for row a. The
+// lower triangle is left zero for FinishCovariance. Output rows are
+// sharded across workers (≤ 0 means GOMAXPROCS, serial below
+// covParallelMinOps); each worker sweeps the data rows once, outermost,
+// so every entry's addition sequence — and the result — is the same at
+// any worker count. row must be safe for concurrent callers; the only
+// possible error is the context's.
+func CenteredMoment(ctx context.Context, workers, n int, row func(i int) Vector, mean Vector) (*Matrix, error) {
+	d := len(mean)
+	m2 := NewMatrix(d, d)
 	if n*d*d/2 < covParallelMinOps {
 		workers = 1
 	}
-	mean := m.Mean()
-	err := parallel.ForShards(ctx, workers, d, func(_ context.Context, _, lo, hi int) error {
-		for a := lo; a < hi; a++ {
-			rowA := cov.Data[a*d:]
-			for i := 0; i < n; i++ {
-				row := m.Data[i*d : (i+1)*d]
-				ca := row[a] - mean[a]
-				if ca == 0 {
-					continue
-				}
-				for b := a; b < d; b++ {
-					rowA[b] += ca * (row[b] - mean[b])
+	err := parallel.ForShards(ctx, workers, d, func(ctx context.Context, _, lo, hi int) error {
+		for i := 0; i < n; i++ {
+			if i%momentCancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 			}
+			addCenteredRow(m2.Data, row(i), mean, lo, hi)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return m2, nil
+}
+
+// addCenteredRow adds one row x's terms (xₐ−μₐ)(x_b−μ_b), b ≥ a, to the
+// output rows a ∈ [lo, hi) of the flat d×d moment m2. x and each output
+// row are cut to length d = len(mean), so the compiler drops the bounds
+// checks of the inner loop.
+func addCenteredRow(m2 []float64, x, mean Vector, lo, hi int) {
+	d := len(mean)
+	x = x[:d]
+	for a := lo; a < hi; a++ {
+		ca := x[a] - mean[a]
+		if ca == 0 {
+			continue
+		}
+		out := m2[a*d : a*d+d]
+		for b := a; b < d; b++ {
+			out[b] += ca * (x[b] - mean[b])
+		}
+	}
+}
+
+// FinishCovariance turns m, an upper-triangular centered second moment
+// over n rows (CenteredMoment, or window partials of it summed
+// entrywise), into the covariance in place: each entry × 1/n, mirrored
+// into the lower triangle. Below two rows the covariance is the zero
+// matrix.
+func (m *Matrix) FinishCovariance(n int) {
+	if n < 2 {
+		clear(m.Data)
+		return
+	}
+	d := m.Cols
 	inv := 1 / float64(n)
 	for a := 0; a < d; a++ {
 		for b := a; b < d; b++ {
-			v := cov.At(a, b) * inv
-			cov.Set(a, b, v)
-			cov.Set(b, a, v)
+			v := m.Data[a*d+b] * inv
+			m.Data[a*d+b] = v
+			m.Data[b*d+a] = v
 		}
 	}
-	return cov, nil
+}
+
+// OnePassVariance finishes a one-pass variance from n samples' sum and
+// sum of squares: sumSq/n − (sum/n)², clamped at zero against numeric
+// noise, and zero below two samples.
+func OnePassVariance(sum, sumSq float64, n int) float64 {
+	if n < 2 {
+		return 0
+	}
+	mean := sum / float64(n)
+	v := sumSq/float64(n) - mean*mean
+	if v < 0 { // numeric noise
+		v = 0
+	}
+	return v
 }
 
 // ColumnVariances returns the per-column variance of the rows of m in one
@@ -243,11 +303,8 @@ func (m *Matrix) CovarianceContext(ctx context.Context, workers int) (*Matrix, e
 // the result equals the variance of the rows along the j-th standard basis
 // direction, which is what the axis-parallel projection scoring reads.
 func (m *Matrix) ColumnVariances() Vector {
-	out := make(Vector, m.Cols)
-	if m.Rows < 2 {
-		return out
-	}
 	sum := make(Vector, m.Cols)
+	out := make(Vector, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, x := range row {
@@ -255,14 +312,8 @@ func (m *Matrix) ColumnVariances() Vector {
 			out[j] += x * x
 		}
 	}
-	n := float64(m.Rows)
 	for j := range out {
-		mean := sum[j] / n
-		v := out[j]/n - mean*mean
-		if v < 0 { // numeric noise
-			v = 0
-		}
-		out[j] = v
+		out[j] = OnePassVariance(sum[j], out[j], m.Rows)
 	}
 	return out
 }
@@ -275,7 +326,7 @@ func (m *Matrix) VarianceAlong(dir Vector) float64 {
 		panic("linalg: VarianceAlong dimension mismatch")
 	}
 	u := dir.Clone()
-	if u.Normalize() == 0 || m.Rows < 2 {
+	if u.Normalize() == 0 {
 		return 0
 	}
 	var sum, sumSq float64
@@ -284,11 +335,5 @@ func (m *Matrix) VarianceAlong(dir Vector) float64 {
 		sum += p
 		sumSq += p * p
 	}
-	n := float64(m.Rows)
-	mean := sum / n
-	v := sumSq/n - mean*mean
-	if v < 0 { // numeric noise
-		v = 0
-	}
-	return v
+	return OnePassVariance(sum, sumSq, m.Rows)
 }

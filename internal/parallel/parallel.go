@@ -221,6 +221,18 @@ type Scatter interface {
 	Run(ctx context.Context, stage string, n int, part func(ctx context.Context, w, lo, hi, workers int) error) error
 }
 
+// Whole returns the one-window Scatter of the unsharded stages: every
+// pass runs once over all rows [0, n) with the given worker budget.
+func Whole(workers int) Scatter { return whole(workers) }
+
+type whole int
+
+func (whole) Shards() int { return 1 }
+
+func (s whole) Run(ctx context.Context, _ string, n int, part func(ctx context.Context, w, lo, hi, workers int) error) error {
+	return part(ctx, 0, 0, n, int(s))
+}
+
 // Windows returns the number of row windows a Scatter with P shards cuts
 // n rows into: min(P, n), at least 1 (an empty pass is one empty window).
 func Windows(p, n int) int {

@@ -140,17 +140,13 @@ func (c *Coordinator) Run(ctx context.Context, stage string, n int, part func(ct
 	return nil
 }
 
-// Stats is the sharded View.Stats, memoized on the view itself in the
-// slot for this coordinator's P (View.ShardedStats), so every session
-// sharing a view shares its moments. At P=1 it is View.Stats — the same
-// pointer, computed by the view's parallel single-pass kernel. At P ≥ 2
-// ambient views run the two-pass moment composition over the
-// coordinator's windows and projected views pull their base's P-slot
-// through the projection.
+// Stats is View.ShardedStats over the coordinator's windows, memoized on
+// the view itself in the slot for this coordinator's P, so every session
+// sharing a view shares its moments: ambient views run the two-pass
+// moment composition, projected views pull their base's P-slot through
+// the projection. At P=1 the one window is View.Stats' and fills the
+// same slot, so both return the same pointer.
 func (c *Coordinator) Stats(ctx context.Context, v *dataset.View) (*dataset.ViewStats, error) {
-	if c.p == 1 {
-		return v.Stats(ctx, c.workers)
-	}
 	return v.ShardedStats(ctx, c)
 }
 

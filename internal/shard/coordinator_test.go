@@ -64,10 +64,11 @@ func (r *recordTracer) Emit(e telemetry.Event) {
 
 func (r *recordTracer) Now() time.Time { return time.Now() }
 
-// TestCoordinatorStatsParity checks the stats stage against View.Stats:
-// bit-identical at P=1, ≤ 1e-10 relative at P=4, pull-through for
-// projected views, and the one memo — on the view, one slot per P, shared
-// by every coordinator (so every session) over that view.
+// TestCoordinatorStatsParity checks the stats stage: bit-identical to the
+// matrix covariance kernel at P=1, ≤ 1e-10 relative to View.Stats at
+// P=4, pull-through for projected views, and the one memo — on the view,
+// one slot per P, shared by every coordinator (so every session) over
+// that view.
 func TestCoordinatorStatsParity(t *testing.T) {
 	ctx := context.Background()
 	v := testDataset(t, 7, 500, 6).View()
@@ -81,14 +82,10 @@ func TestCoordinatorStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range want.Mean {
-		if got1.Mean[j] != want.Mean[j] {
-			t.Fatalf("P=1 mean[%d] = %v, want %v (not bit-identical)", j, got1.Mean[j], want.Mean[j])
-		}
-	}
-	for i := range want.Cov.Data {
-		if got1.Cov.Data[i] != want.Cov.Data[i] {
-			t.Fatalf("P=1 cov[%d] = %v, want %v (not bit-identical)", i, got1.Cov.Data[i], want.Cov.Data[i])
+	ref := v.Coords().Covariance()
+	for i := range ref.Data {
+		if got1.Cov.Data[i] != ref.Data[i] {
+			t.Fatalf("P=1 cov[%d] = %v, want %v (not bit-identical)", i, got1.Cov.Data[i], ref.Data[i])
 		}
 	}
 

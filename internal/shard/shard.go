@@ -8,10 +8,11 @@
 // The coordinator is the FLANN distributed-matching shape — any local
 // algorithm plus a merge — with the merge owned by the algorithm: it
 // implements parallel.Scatter, and the density estimate
-// (kde.Estimate2DScatter) and the sharded moment statistics
+// (kde.Estimate2DScatter) and the moment statistics
 // (dataset.View.ShardedStats) compose their own partials, merges and
-// finishes over it. The one stage it owns is the top-s nearest scan and
-// its merge.
+// finishes over it — the same compositions the unsharded engine runs
+// over one window (parallel.Whole). The one stage it owns is the top-s
+// nearest scan and its merge.
 //
 // Determinism contract (shared with the compositions in internal/dataset
 // and internal/kde):
@@ -23,11 +24,11 @@
 //   - any finishing arithmetic runs once, after the merge.
 //
 // Under these rules a P-sharded stage is bit-identical across runs and
-// worker counts for fixed P; P=1 reproduces the single-partition kernels
-// bit for bit (its one partial sweeps every row in order, and its
-// statistics are View.Stats itself); and different P disagree only by
-// re-association of per-entry float additions (≤ 1e-10 relative), with
-// top-s membership exactly preserved.
+// worker counts for fixed P; P=1 is the unsharded engine bit for bit (its
+// one partial sweeps every row in order, and its statistics are
+// View.Stats' memo slot, filled by the same one-window composition); and
+// different P disagree only by re-association of per-entry float
+// additions (≤ 1e-10 relative), with top-s membership exactly preserved.
 package shard
 
 import (
