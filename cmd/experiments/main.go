@@ -23,6 +23,70 @@ import (
 	"innsearch/internal/experiments"
 )
 
+// experiment is one runner: its -only name, whether -skip-ablations
+// drops it, and the table it prints.
+type experiment struct {
+	name     string
+	ablation bool
+	run      func(experiments.Config) (*experiments.Table, error)
+}
+
+// experimentTable lists every runner in the order a full run prints them;
+// out/experiments_full.txt is that run's output.
+var experimentTable = []experiment{
+	{"table1", false, func(c experiments.Config) (*experiments.Table, error) {
+		r, err := experiments.RunTable1(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table, nil
+	}},
+	{"table2", false, func(c experiments.Config) (*experiments.Table, error) {
+		r, err := experiments.RunTable2(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table, nil
+	}},
+	{"figure1", false, experiments.RunFigure1},
+	{"figure9", false, experiments.RunFigure9},
+	{"figure10-11", false, experiments.RunFigure1011},
+	{"figure12", false, experiments.RunFigure12},
+	{"figure13", false, experiments.RunFigure13},
+	{"steepdrop", false, func(c experiments.Config) (*experiments.Table, error) {
+		r, err := experiments.RunSteepDrop(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table, nil
+	}},
+	{"diagnosis", false, func(c experiments.Config) (*experiments.Table, error) {
+		r, err := experiments.RunDiagnosis(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table, nil
+	}},
+	{"contrast", false, experiments.RunContrastMotivation},
+	{"calibration", false, func(c experiments.Config) (*experiments.Table, error) {
+		r, err := experiments.RunNullCalibration(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table, nil
+	}},
+	{"ablation-grading", true, experiments.RunAblationGrading},
+	{"ablation-support", true, experiments.RunAblationSupport},
+	{"ablation-grid", true, experiments.RunAblationGrid},
+	{"ablation-noise", true, experiments.RunAblationNoise},
+	{"ablation-automated", true, experiments.RunAblationAutomated},
+	{"ablation-mode", true, experiments.RunAblationMode},
+	{"vafile", false, experiments.RunVAFileMotivation},
+	{"sanity-fulldim", false, experiments.RunSanityFullDim},
+	{"scalability", false, experiments.RunScalability},
+	{"ablation-weighting", true, experiments.RunAblationWeighting},
+}
+
 func main() {
 	var (
 		n             = flag.Int("n", 5000, "synthetic dataset size")
@@ -46,65 +110,6 @@ func main() {
 		Workers:  *workers,
 	}
 
-	type exp struct {
-		name     string
-		ablation bool
-		run      func(experiments.Config) (*experiments.Table, error)
-	}
-	all := []exp{
-		{"table1", false, func(c experiments.Config) (*experiments.Table, error) {
-			r, err := experiments.RunTable1(c)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"table2", false, func(c experiments.Config) (*experiments.Table, error) {
-			r, err := experiments.RunTable2(c)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"figure1", false, experiments.RunFigure1},
-		{"figure9", false, experiments.RunFigure9},
-		{"figure10-11", false, experiments.RunFigure1011},
-		{"figure12", false, experiments.RunFigure12},
-		{"figure13", false, experiments.RunFigure13},
-		{"steepdrop", false, func(c experiments.Config) (*experiments.Table, error) {
-			r, err := experiments.RunSteepDrop(c)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"diagnosis", false, func(c experiments.Config) (*experiments.Table, error) {
-			r, err := experiments.RunDiagnosis(c)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"contrast", false, experiments.RunContrastMotivation},
-		{"calibration", false, func(c experiments.Config) (*experiments.Table, error) {
-			r, err := experiments.RunNullCalibration(c)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"ablation-grading", true, experiments.RunAblationGrading},
-		{"ablation-support", true, experiments.RunAblationSupport},
-		{"ablation-grid", true, experiments.RunAblationGrid},
-		{"ablation-noise", true, experiments.RunAblationNoise},
-		{"ablation-automated", true, experiments.RunAblationAutomated},
-		{"ablation-mode", true, experiments.RunAblationMode},
-		{"vafile", false, experiments.RunVAFileMotivation},
-		{"sanity-fulldim", false, experiments.RunSanityFullDim},
-		{"scalability", false, experiments.RunScalability},
-		{"ablation-weighting", true, experiments.RunAblationWeighting},
-	}
-
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, name := range strings.Split(*only, ",") {
@@ -113,7 +118,7 @@ func main() {
 	}
 
 	failed := 0
-	for _, e := range all {
+	for _, e := range experimentTable {
 		if len(selected) > 0 && !selected[e.name] {
 			continue
 		}

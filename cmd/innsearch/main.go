@@ -32,7 +32,6 @@ import (
 	"innsearch/internal/core"
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
-	"innsearch/internal/synth"
 	"innsearch/internal/user"
 )
 
@@ -86,16 +85,7 @@ func main() {
 	if *userArg == "human" {
 		u = &user.Terminal{In: os.Stdin, Out: os.Stdout}
 	} else {
-		pcfg := user.PolicyConfig{Seed: *seed}
-		if *userArg == "oracle" {
-			if !ds.Labeled() {
-				fatalIf(fmt.Errorf("oracle user needs a labeled dataset"))
-			}
-			pcfg.Relevant = synth.ClusterIDs(ds, *query)
-			if pcfg.Relevant == nil {
-				fatalIf(fmt.Errorf("query row %d has no ground-truth cluster", *query))
-			}
-		}
+		pcfg := user.PolicyConfig{Seed: *seed, Data: ds, Row: *query}
 		if *replayPath != "" {
 			f, err := os.Open(*replayPath)
 			fatalIf(err)

@@ -18,7 +18,6 @@
 //	        [-synth case1:n=2000:seed=20020612]        client-side ground truth
 //	        [-transcript session.json]                 replay policy input
 //	        [-previews 0] [-view-wait 5s]
-//	        [-skip-prob 0] [-bad-accept-prob 0] [-tau-jitter 0]
 //	        [-workers 0] [-index vafile]               forwarded in the session config
 //	        [-report -]                                report path (- = stdout)
 //
@@ -70,9 +69,6 @@ func main() {
 		trPath   = flag.String("transcript", "", "recorded session JSON for the replay policy")
 		previews = flag.Int("previews", 0, "wire preview requests per view (decisions always preview locally)")
 		viewWait = flag.Duration("view-wait", 5*time.Second, "long-poll budget per view request")
-		skipP    = flag.Float64("skip-prob", 0, "noisyhuman: chance of ignoring an answerable view (0 = default 0.05)")
-		badP     = flag.Float64("bad-accept-prob", 0, "noisyhuman: chance of answering a junk view (0 = default 0.05)")
-		jitter   = flag.Float64("tau-jitter", 0, "noisyhuman: relative τ perturbation (0 = default 0.15)")
 		report   = flag.String("report", "-", "write the JSON report here (- = stdout)")
 		quiet    = flag.Bool("quiet", false, "suppress progress lines on stderr")
 	)
@@ -98,9 +94,6 @@ func main() {
 		Seed:            *seed,
 		PreviewsPerView: *previews,
 		ViewWait:        *viewWait,
-		SkipProb:        *skipP,
-		BadAcceptProb:   *badP,
-		TauJitter:       *jitter,
 		Scrape:          true,
 		Session: wire.SessionConfig{
 			Workers: *workers,

@@ -33,6 +33,9 @@ type VisualProfile struct {
 	IDs []int
 	// Projection is the 2-D subspace (in current session coordinates).
 	Projection *linalg.Subspace
+	// Family is the projection family the view was drawn from, "axis"
+	// or "arbitrary" ("" on a profile decoded from the wire).
+	Family string
 	// Discrimination is the query-cluster/rest variance-ratio score in
 	// [0, 1]; higher means the projection distinguishes the query
 	// cluster better (see DiscriminationScore).

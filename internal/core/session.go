@@ -740,6 +740,7 @@ func (s *Session) presentView(ctx context.Context, dc *dataset.View, qc linalg.V
 		}
 		profile.Major = s.iter
 		profile.Minor = minor
+		profile.Family = family
 		profile.IDs = ids
 		profile.OriginalN = s.originalN
 		kdeSpan.End(telemetry.Event{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"innsearch/internal/grid"
 )
@@ -20,28 +21,34 @@ type Transcript struct {
 	Iterations int `json:"iterations"`
 }
 
-// TranscriptView is one recorded minor iteration.
+// TranscriptView is one recorded minor iteration: the view the session
+// kept (in ModeAuto's family contest, the winner) and its decision.
 type TranscriptView struct {
-	Major          int     `json:"major"`
-	Minor          int     `json:"minor"`
+	Major int `json:"major"`
+	Minor int `json:"minor"`
+	// Family is the shown view's projection family, "axis" or
+	// "arbitrary" ("" in transcripts written before it was recorded).
+	Family         string  `json:"family,omitempty"`
 	RemainingDim   int     `json:"remaining_dim"`
 	Discrimination float64 `json:"discrimination"`
 	PeakRatio      float64 `json:"peak_ratio"`
 	QueryDensity   float64 `json:"query_density"`
 	Skipped        bool    `json:"skipped"`
 	Tau            float64 `json:"tau,omitempty"`
-	Lines          int     `json:"lines,omitempty"`
-	Weight         float64 `json:"weight,omitempty"`
-	PickedCount    int     `json:"picked_count"`
-	PickedIDs      []int   `json:"picked_ids,omitempty"`
+	// Separators are a polygonal decision's lines (older transcripts
+	// hold only their count, "lines", which loads and is ignored).
+	Separators  []grid.Line `json:"separators,omitempty"`
+	Weight      float64     `json:"weight,omitempty"`
+	PickedCount int         `json:"picked_count"`
+	PickedIDs   []int       `json:"picked_ids,omitempty"`
 	// DataSize is the number of points still in play when the view was
 	// shown.
 	DataSize int `json:"data_size"`
 }
 
-// RecordingUser wraps a user and records every interaction into the
-// transcript. The picked IDs are filled in by the observer half (see
-// NewTranscript), since selection happens after the decision.
+// recordingObserver records every shown view and its decision into the
+// transcript; it is the OnProfile half of NewTranscript's Observer, which
+// sees each decision together with the IDs it picked.
 type recordingObserver struct {
 	tr            *Transcript
 	keepPickedIDs bool
@@ -66,6 +73,7 @@ func (r *recordingObserver) onProfile(p *VisualProfile, d Decision, pickedIDs []
 	v := TranscriptView{
 		Major:          p.Major,
 		Minor:          p.Minor,
+		Family:         p.Family,
 		RemainingDim:   p.RemainingDim,
 		Discrimination: p.Discrimination,
 		PeakRatio:      p.PeakRatio(),
@@ -76,7 +84,7 @@ func (r *recordingObserver) onProfile(p *VisualProfile, d Decision, pickedIDs []
 	}
 	if !d.Skip {
 		v.Tau = d.Tau
-		v.Lines = len(d.Lines)
+		v.Separators = slices.Clone(d.Lines)
 		v.Weight = d.Weight
 	}
 	if r.keepPickedIDs {
@@ -117,11 +125,13 @@ func LoadTranscript(r io.Reader) (*Transcript, error) {
 	return &t, nil
 }
 
-// ReplayUser replays a transcript's decisions as a User: view i of the
-// new session receives the decision recorded for view i. Extra views are
-// skipped. Replaying against the same dataset, query and configuration
-// reproduces the original session exactly (the system is deterministic
-// given the decisions).
+// ReplayUser replays a transcript's decisions as a User: a view gets the
+// next record's decision, and the record is used up, only when both have
+// the same major, minor and family; any other view (the loser of
+// ModeAuto's family contest, or one past the end) is skipped. A missing
+// family (an older transcript, a profile decoded from the wire) matches
+// any. Replaying against the same dataset, query and configuration
+// reproduces the original session exactly.
 type ReplayUser struct {
 	Transcript *Transcript
 	next       int
@@ -133,9 +143,12 @@ func (u *ReplayUser) SeparateCluster(p *VisualProfile, _ func(tau float64) *grid
 		return Decision{Skip: true}
 	}
 	v := u.Transcript.Views[u.next]
+	if v.Major != p.Major || v.Minor != p.Minor || (v.Family != "" && p.Family != "" && v.Family != p.Family) {
+		return Decision{Skip: true}
+	}
 	u.next++
 	if v.Skipped {
 		return Decision{Skip: true}
 	}
-	return Decision{Tau: v.Tau, Weight: v.Weight}
+	return Decision{Tau: v.Tau, Lines: v.Separators, Weight: v.Weight}
 }

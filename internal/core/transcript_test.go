@@ -3,7 +3,12 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"innsearch/internal/dataset"
+	"innsearch/internal/grid"
 )
 
 func TestTranscriptRecordsSession(t *testing.T) {
@@ -86,39 +91,108 @@ func TestTranscriptJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTranscriptReplayReproducesSession(t *testing.T) {
-	ds, q := clusteredDataset(t, 400, 50, 6, 43)
-	tr, obs := NewTranscript(false)
-	cfg := Config{Support: 30, GridSize: 16, MaxMajorIterations: 2, Mode: ModeAxis}
-	cfgRec := cfg
-	cfgRec.Observer = obs
-	s1, err := NewSession(ds, q, alwaysTauUser(0.3), cfgRec)
-	if err != nil {
-		t.Fatal(err)
+// boxUser separates with four polygonal lines boxing the query at
+// half-width 0.5 in the view's coordinates.
+func boxUser() UserFunc {
+	return func(p *VisualProfile, _ func(tau float64) *grid.Region) Decision {
+		x0, x1, y0, y1 := p.QueryX-0.5, p.QueryX+0.5, p.QueryY-0.5, p.QueryY+0.5
+		return Decision{Lines: []grid.Line{
+			{X1: x0, Y1: y0, X2: x0, Y2: y1}, {X1: x1, Y1: y0, X2: x1, Y2: y1},
+			{X1: x0, Y1: y0, X2: x1, Y2: y0}, {X1: x0, Y1: y1, X2: x1, Y2: y1},
+		}}
 	}
-	res1, err := s1.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	s2, err := NewSession(ds, q, &ReplayUser{Transcript: tr}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Neighbors) != len(res2.Neighbors) {
-		t.Fatalf("replay produced %d neighbors, original %d", len(res2.Neighbors), len(res1.Neighbors))
-	}
-	for i := range res1.Neighbors {
-		if res1.Neighbors[i] != res2.Neighbors[i] {
-			t.Fatalf("replay diverged at rank %d: %+v vs %+v",
-				i, res2.Neighbors[i], res1.Neighbors[i])
+// replayCases are sessions whose transcripts must replay exactly: a τ
+// separator in ModeAxis, polygonal lines in ModeAxis, and ModeAuto with
+// a user who skips every axis-parallel view, so each sweep's family
+// contest goes to the arbitrary view it was offered second.
+var replayCases = []struct {
+	name string
+	mode ProjectionMode
+	user UserFunc
+}{
+	{"axis_tau", ModeAxis, alwaysTauUser(0.3)},
+	{"axis_lines", ModeAxis, boxUser()},
+	{"auto_contest", ModeAuto, func(p *VisualProfile, preview func(tau float64) *grid.Region) Decision {
+		if p.Projection.AxisAligned() {
+			return Decision{Skip: true}
 		}
+		return alwaysTauUser(0.3)(p, preview)
+	}},
+}
+
+// recordSession runs one session of u over (ds, q) with cfg and returns
+// its Result and transcript.
+func recordSession(t testing.TB, ds *dataset.Dataset, q []float64, u User, cfg Config) (*Result, *Transcript) {
+	t.Helper()
+	tr, obs := NewTranscript(false)
+	cfg.Observer = obs
+	s, err := NewSession(ds, q, u, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res1.Diagnosis != res2.Diagnosis {
-		t.Errorf("diagnosis differs: %+v vs %+v", res2.Diagnosis, res1.Diagnosis)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, tr
+}
+
+func TestTranscriptReplayReproducesSession(t *testing.T) {
+	for _, tc := range replayCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, q := clusteredDataset(t, 400, 50, 6, 43)
+			cfg := Config{Support: 30, GridSize: 16, MaxMajorIterations: 2, Mode: tc.mode}
+			res1, tr := recordSession(t, ds, q, tc.user, cfg)
+			if !res1.Diagnosis.Meaningful || res1.ViewsAnswered == 0 {
+				t.Fatalf("fixture drifted: original session answered %d views, diagnosis %+v", res1.ViewsAnswered, res1.Diagnosis)
+			}
+			// Through JSON, as a replayed transcript is read from disk.
+			var buf bytes.Buffer
+			if err := tr.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadTranscript(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, err := NewSession(ds, q, &ReplayUser{Transcript: back}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := s2.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res1.ViewsShown != res2.ViewsShown || res1.ViewsAnswered != res2.ViewsAnswered {
+				t.Errorf("replay answered %d of %d views, original %d of %d",
+					res2.ViewsAnswered, res2.ViewsShown, res1.ViewsAnswered, res1.ViewsShown)
+			}
+			if res1.Diagnosis != res2.Diagnosis {
+				t.Errorf("diagnosis differs: %+v vs %+v", res2.Diagnosis, res1.Diagnosis)
+			}
+			if !reflect.DeepEqual(res1, res2) {
+				t.Errorf("replayed Result differs from the original")
+			}
+		})
+	}
+}
+
+// TestReplayLoadsCountOnlyLines: a transcript written when a polygonal
+// decision was stored as its line count still loads; its view replays
+// as a τ decision, the most the record holds.
+func TestReplayLoadsCountOnlyLines(t *testing.T) {
+	tr, err := LoadTranscript(strings.NewReader(`{"views":[{"major":1,"minor":1,"skipped":false,"tau":0.5,"lines":2,"picked_count":3,"data_size":9}],"iterations":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &ReplayUser{Transcript: tr}
+	p := &VisualProfile{Major: 1, Minor: 1, Family: "axis"}
+	if d := u.SeparateCluster(p, nil); d.Skip || d.Tau != 0.5 || d.Lines != nil {
+		t.Errorf("replayed %+v, want τ 0.5 and no lines", d)
+	}
+	if d := u.SeparateCluster(p, nil); !d.Skip {
+		t.Errorf("replayed %+v past the transcript's end, want a skip", d)
 	}
 }

@@ -194,7 +194,7 @@ func RunAblationNoise(cfg Config) (*Table, error) {
 		var hook func(*oracleQuery)
 		if noise.skip > 0 || noise.jitter > 0 {
 			hook = func(q *oracleQuery) {
-				q.User = &user.Noisy{
+				q.User = &user.NoisyHuman{
 					Base:      q.User,
 					SkipProb:  noise.skip,
 					TauJitter: noise.jitter,

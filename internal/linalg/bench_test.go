@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -33,6 +35,26 @@ func BenchmarkCovariance5000x20(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Covariance()
+	}
+}
+
+// BenchmarkCovarianceContext2000x64 is the d = 64 covariance at 1 and 2
+// workers: the triangle's rows carry d − a terms each, so the 2-worker
+// speedup shows whether CenteredMoment splits them evenly.
+func BenchmarkCovarianceContext2000x64(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	m := NewMatrix(2000, 64)
+	for i := range m.Data {
+		m.Data[i] = r.NormFloat64()
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.CovarianceContext(context.Background(), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -216,9 +216,10 @@ func (m *Matrix) CovarianceContext(ctx context.Context, workers int) (*Matrix, e
 // rows whose deviation xᵢₐ−μₐ is exactly zero skipped for row a. The
 // lower triangle is left zero for FinishCovariance. Output rows are
 // sharded across workers (≤ 0 means GOMAXPROCS, serial below
-// covParallelMinOps); each worker sweeps the data rows once, outermost,
-// so every entry's addition sequence — and the result — is the same at
-// any worker count. row must be safe for concurrent callers; the only
+// covParallelMinOps) in contiguous ranges of near-equal term counts
+// (triangleBound); each worker sweeps the data rows once, outermost, so
+// every entry's addition sequence — and the result — is the same at any
+// worker count. row must be safe for concurrent callers; the only
 // possible error is the context's.
 func CenteredMoment(ctx context.Context, workers, n int, row func(i int) Vector, mean Vector) (*Matrix, error) {
 	d := len(mean)
@@ -226,7 +227,9 @@ func CenteredMoment(ctx context.Context, workers, n int, row func(i int) Vector,
 	if n*d*d/2 < covParallelMinOps {
 		workers = 1
 	}
-	err := parallel.ForShards(ctx, workers, d, func(ctx context.Context, _, lo, hi int) error {
+	shards := parallel.NumShards(workers, d)
+	err := parallel.For(ctx, workers, shards, func(ctx context.Context, shard int) error {
+		lo, hi := triangleBound(d, shards, shard), triangleBound(d, shards, shard+1)
 		for i := 0; i < n; i++ {
 			if i%momentCancelStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -241,6 +244,21 @@ func CenteredMoment(ctx context.Context, workers, n int, row func(i int) Vector,
 		return nil, err
 	}
 	return m2, nil
+}
+
+// triangleBound returns the first output row of shard k when the d rows
+// of an upper triangle, row a carrying d − a terms, are cut into shards
+// contiguous ranges of near-equal term counts: the first row whose
+// preceding rows hold at least k/shards of the d(d+1)/2 terms (d at
+// k = shards).
+func triangleBound(d, shards, k int) int {
+	total := d * (d + 1) / 2
+	a, terms := 0, 0
+	for a < d && terms*shards < k*total {
+		terms += d - a
+		a++
+	}
+	return a
 }
 
 // addCenteredRow adds one row x's terms (xₐ−μₐ)(x_b−μ_b), b ≥ a, to the

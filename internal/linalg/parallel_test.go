@@ -43,3 +43,36 @@ func TestCovarianceContextCanceled(t *testing.T) {
 		t.Fatal("want error from canceled context")
 	}
 }
+
+// TestTriangleBoundBalanced checks CenteredMoment's output-row split:
+// the shards tile [0, d) in order, and each holds its even share of the
+// d(d+1)/2 triangle terms to within one row's terms (row a holds d − a).
+// At d = 64 and 2 workers that is 1045 and 1035 terms per data row,
+// where equal row counts gave 1552 and 528.
+func TestTriangleBoundBalanced(t *testing.T) {
+	for d := 1; d <= 70; d++ {
+		total := d * (d + 1) / 2
+		for shards := 1; shards <= min(d, 8); shards++ {
+			if lo := triangleBound(d, shards, 0); lo != 0 {
+				t.Fatalf("d=%d shards=%d: first shard starts at row %d", d, shards, lo)
+			}
+			if hi := triangleBound(d, shards, shards); hi != d {
+				t.Fatalf("d=%d shards=%d: last shard ends at row %d", d, shards, hi)
+			}
+			for k := 0; k < shards; k++ {
+				lo, hi := triangleBound(d, shards, k), triangleBound(d, shards, k+1)
+				terms := 0
+				for a := lo; a < hi; a++ {
+					terms += d - a
+				}
+				if diff := terms*shards - total; diff > d*shards || -diff > d*shards {
+					t.Fatalf("d=%d shards=%d: shard %d rows [%d, %d) hold %d terms, even share %d/%d",
+						d, shards, k, lo, hi, terms, total, shards)
+				}
+			}
+		}
+	}
+	if got := triangleBound(64, 2, 1); got != 19 {
+		t.Errorf("d=64, 2 shards: split at row %d, want 19 (1045 vs 1035 terms)", got)
+	}
+}

@@ -42,11 +42,6 @@ type SessionSpec struct {
 	ViewWait time.Duration
 	// Transcript backs the replay policy.
 	Transcript *core.Transcript
-	// SkipProb, BadAcceptProb, and TauJitter tune the noisyhuman policy
-	// (0 takes the policy defaults).
-	SkipProb      float64
-	BadAcceptProb float64
-	TauJitter     float64
 }
 
 // DecisionRecord is one entry of a session's decision sequence — the
@@ -106,15 +101,9 @@ func (d *driver) run(ctx context.Context, spec SessionSpec) SessionRecord {
 		Policy:   spec.Policy,
 		Seed:     spec.PolicySeed,
 	}
-	pcfg := user.PolicyConfig{
-		Seed:          spec.PolicySeed,
-		Transcript:    spec.Transcript,
-		SkipProb:      spec.SkipProb,
-		BadAcceptProb: spec.BadAcceptProb,
-		TauJitter:     spec.TauJitter,
-	}
+	pcfg := user.PolicyConfig{Seed: spec.PolicySeed, Row: spec.QueryRow, Transcript: spec.Transcript}
 	if d.truth != nil {
-		pcfg.Relevant = d.truth.RelevantTo(spec.QueryRow)
+		pcfg.Data = d.truth.ds
 	}
 	policy, err := user.NewPolicy(spec.Policy, pcfg)
 	if err != nil {

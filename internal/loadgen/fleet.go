@@ -64,11 +64,6 @@ type Config struct {
 	Truth *Truth
 	// Transcript backs the replay policy.
 	Transcript *core.Transcript
-	// SkipProb, BadAcceptProb, and TauJitter tune the noisyhuman policy
-	// (0 takes the policy defaults).
-	SkipProb      float64
-	BadAcceptProb float64
-	TauJitter     float64
 	// Scrape collects the server's /metrics and /varz at every phase
 	// boundary and after the final drain.
 	Scrape bool
@@ -276,9 +271,6 @@ func (cfg Config) sessionSpec(idx int, phase, dataset string, n int) SessionSpec
 		PreviewsPerView: cfg.PreviewsPerView,
 		ViewWait:        cfg.ViewWait,
 		Transcript:      cfg.Transcript,
-		SkipProb:        cfg.SkipProb,
-		BadAcceptProb:   cfg.BadAcceptProb,
-		TauJitter:       cfg.TauJitter,
 	}
 }
 

@@ -48,9 +48,6 @@ func TruthFromSpec(spec string) (*Truth, error) {
 // advertised dataset.
 func (t *Truth) N() int { return t.ds.N() }
 
-// Dim returns the dataset dimensionality.
-func (t *Truth) Dim() int { return t.ds.Dim() }
-
 // EligibleRows returns the row positions sessions may query from.
 func (t *Truth) EligibleRows() []int { return t.eligible }
 

@@ -40,7 +40,6 @@ import (
 	"innsearch/internal/dataset"
 	"innsearch/internal/index"
 	"innsearch/internal/server/wire"
-	"innsearch/internal/synth"
 	"innsearch/internal/telemetry"
 	"innsearch/internal/user"
 )
@@ -336,28 +335,20 @@ func resolveQuery(q []float64, row *int, ds *dataset.Dataset) ([]float64, error)
 var errUnknownUser = errors.New("unknown user")
 
 // simulatedUser builds the server-side users that hosted sessions and
-// batch queries share: "heuristic", or "oracle", the paper's attentive
-// user for the ground-truth cluster of the query row (row is nil when
-// the query is a literal vector).
+// batch queries share through user.NewPolicy: "heuristic", or "oracle",
+// the paper's attentive user for the ground-truth cluster of the query
+// row (row is nil when the query is a literal vector).
 func simulatedUser(kind string, ds *dataset.Dataset, row *int) (core.User, error) {
-	switch kind {
-	case "heuristic":
-		return &user.Heuristic{}, nil
-	case "oracle":
-		switch {
-		case row == nil:
-			return nil, errors.New("oracle user needs a query row (relevance comes from the query row's label)")
-		case !ds.Labeled():
-			return nil, errors.New("oracle user needs a labeled dataset")
-		}
-		truth := synth.ClusterIDs(ds, *row)
-		if truth == nil {
-			return nil, fmt.Errorf("query row %d has no ground-truth cluster", *row)
-		}
-		return user.NewOracle(truth), nil
-	default:
+	if kind != "heuristic" && kind != "oracle" {
 		return nil, errUnknownUser
 	}
+	cfg := user.PolicyConfig{Data: ds}
+	if row != nil {
+		cfg.Row = *row
+	} else if kind == "oracle" {
+		return nil, errors.New("oracle user needs a query row (relevance comes from the query row's label)")
+	}
+	return user.NewPolicy(kind, cfg)
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {

@@ -6,70 +6,46 @@ import (
 	"math/rand"
 
 	"innsearch/internal/core"
+	"innsearch/internal/dataset"
 	"innsearch/internal/grid"
+	"innsearch/internal/synth"
 )
 
-// NoisyHuman simulates a realistic, imperfect human in the loop: it reads
-// views the way Heuristic does, but with seeded sloppiness layered on top —
-// an occasional ignored view, a perturbed separator height, and the
-// occasional bad accept of a view an attentive user would have skipped.
-// Unlike Noisy (which only degrades a base user), NoisyHuman also makes
-// the positive mistake of answering junk views, which is what stresses the
-// engine's cross-projection coherence cleanup under load.
+// NoisyHuman simulates an imperfect human in the loop: Base reads each
+// view, and seeded sloppiness is layered on top — an ignored view, a
+// jittered separator height, and the bad accept of a view Base skipped,
+// the junk answer that stresses the engine's coherence cleanup. Each rate
+// means its value; 0 turns that mistake off.
 //
-// All randomness comes from Rng, so a seeded NoisyHuman produces an
-// identical decision sequence for an identical sequence of views — the
-// property the load fleet's determinism contract rests on. The number of
-// Rng draws per view depends only on the view's content and the base
-// user's (deterministic) answer, never on timing.
+// Rng draws the skip first, then the bad accept only on a view Base
+// skipped (and only when BadAcceptProb > 0), or the jitter only on a view
+// it answers, so a seeded NoisyHuman decides identically on identical
+// views, whatever the timing: the load fleet's determinism contract.
 type NoisyHuman struct {
-	// Base answers the views NoisyHuman doesn't mangle (default
-	// &Heuristic{}: the label-blind visual-intuition model).
-	Base core.User
-	// SkipProb is the chance of ignoring a view the base user would have
-	// answered (default 0.05).
-	SkipProb float64
-	// BadAcceptProb is the chance of answering a view the base user
-	// skipped, placing the separator at an uninformed height — the
-	// "looks good enough to me" error (default 0.05).
-	BadAcceptProb float64
-	// TauJitter is the relative magnitude of the multiplicative noise on
-	// answered separator heights, e.g. 0.15 → τ scaled by a factor in
-	// [0.85, 1.15] (default 0.15).
-	TauJitter float64
-	// Rng drives all the sloppiness; required.
-	Rng *rand.Rand
+	Base          core.User  // reads the views; nil means &Heuristic{}
+	SkipProb      float64    // chance of ignoring a view Base answered
+	BadAcceptProb float64    // chance of answering a view Base skipped, at an uninformed τ
+	TauJitter     float64    // relative τ noise: 0.15 scales τ by a factor in [0.85, 1.15]
+	Rng           *rand.Rand // drives all the sloppiness; required
 }
 
-func (u *NoisyHuman) params() (skip, badAccept, jitter float64) {
-	skip = u.SkipProb
-	if skip == 0 {
-		skip = 0.05
-	}
-	badAccept = u.BadAcceptProb
-	if badAccept == 0 {
-		badAccept = 0.05
-	}
-	jitter = u.TauJitter
-	if jitter == 0 {
-		jitter = 0.15
-	}
-	return skip, badAccept, jitter
-}
+// The noisyhuman policy's rates.
+const (
+	noisySkipProb      = 0.05
+	noisyBadAcceptProb = 0.05
+	noisyTauJitter     = 0.15
+)
 
 // SeparateCluster implements core.User.
 func (u *NoisyHuman) SeparateCluster(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
-	skipProb, badAcceptProb, tauJitter := u.params()
 	base := u.Base
 	if base == nil {
 		base = &Heuristic{}
 	}
-	// The skip draw happens up front so the Rng consumption per view is
-	// independent of whether it ends up being used.
 	skipDraw := u.Rng.Float64()
 	d := base.SeparateCluster(p, preview)
 	if d.Skip {
-		if u.Rng.Float64() < badAcceptProb && p.QueryDensity > 0 {
+		if u.BadAcceptProb > 0 && u.Rng.Float64() < u.BadAcceptProb && p.QueryDensity > 0 {
 			// Bad accept: separate at an uninformed fraction of the query
 			// density. Only views whose region is non-empty get the bogus
 			// answer — even a sloppy human notices selecting nothing.
@@ -80,10 +56,10 @@ func (u *NoisyHuman) SeparateCluster(p *core.VisualProfile, preview func(tau flo
 		}
 		return core.Decision{Skip: true}
 	}
-	if skipDraw < skipProb {
+	if skipDraw < u.SkipProb {
 		return core.Decision{Skip: true}
 	}
-	jitter := 1 + tauJitter*(2*u.Rng.Float64()-1)
+	jitter := 1 + u.TauJitter*(2*u.Rng.Float64()-1)
 	if jitter < 0.05 {
 		jitter = 0.05
 	}
@@ -91,24 +67,21 @@ func (u *NoisyHuman) SeparateCluster(p *core.VisualProfile, preview func(tau flo
 	return d
 }
 
-// PolicyConfig parameterizes NewPolicy. Zero values take the documented
-// defaults; fields irrelevant to the chosen policy are ignored.
+// PolicyConfig parameterizes NewPolicy; fields irrelevant to the chosen
+// policy are ignored.
 type PolicyConfig struct {
 	// Seed drives every random draw of stochastic policies (noisyhuman).
 	// Two policies built with the same seed produce identical decision
 	// sequences for identical view sequences.
 	Seed int64
-	// Relevant is the ground-truth set of original row IDs for the oracle
-	// policy; required by "oracle", ignored by the rest.
-	Relevant []int
+	// Data and Row locate the oracle policy's query: its ground truth is
+	// the planted cluster of row Row of the labeled Data
+	// (synth.ClusterIDs). Required by "oracle", ignored by the rest.
+	Data *dataset.Dataset
+	Row  int
 	// Transcript is the recorded session the replay policy re-drives;
 	// required by "replay", ignored by the rest.
 	Transcript *core.Transcript
-	// SkipProb, BadAcceptProb, and TauJitter tune the noisyhuman policy
-	// (0 takes the NoisyHuman defaults).
-	SkipProb      float64
-	BadAcceptProb float64
-	TauJitter     float64
 }
 
 // PolicyNames lists the separator policies NewPolicy accepts, in the
@@ -117,9 +90,9 @@ func PolicyNames() []string {
 	return []string{"heuristic", "noisyhuman", "oracle", "replay"}
 }
 
-// NewPolicy builds a named separator policy — the decomposition of the
-// interactive protocol into engine + pluggable decision policy that both
-// cmd/innsearch (in-process) and cmd/loadgen (over the wire) select from:
+// NewPolicy builds a named separator policy — the one place a simulated
+// user is built, whether cmd/innsearch runs it in-process, innsearchd
+// hosts it, or cmd/loadgen drives it over the wire:
 //
 //	heuristic   label-blind visual intuition (Heuristic)
 //	noisyhuman  seeded Heuristic with skips, τ jitter, and bad accepts
@@ -135,16 +108,23 @@ func NewPolicy(name string, cfg PolicyConfig) (core.User, error) {
 		return &Heuristic{}, nil
 	case "noisyhuman":
 		return &NoisyHuman{
-			SkipProb:      cfg.SkipProb,
-			BadAcceptProb: cfg.BadAcceptProb,
-			TauJitter:     cfg.TauJitter,
+			SkipProb:      noisySkipProb,
+			BadAcceptProb: noisyBadAcceptProb,
+			TauJitter:     noisyTauJitter,
 			Rng:           rand.New(rand.NewSource(cfg.Seed)),
 		}, nil
 	case "oracle":
-		if len(cfg.Relevant) == 0 {
-			return nil, errors.New("user: oracle policy needs ground-truth relevant IDs (labeled dataset)")
+		ds, row := cfg.Data, cfg.Row
+		switch {
+		case ds == nil || !ds.Labeled():
+			return nil, errors.New("oracle user needs a labeled dataset")
+		case row < 0 || row >= ds.N():
+			return nil, fmt.Errorf("query row %d outside [0, %d)", row, ds.N())
 		}
-		return NewOracle(cfg.Relevant), nil
+		if truth := synth.ClusterIDs(ds, row); truth != nil {
+			return NewOracle(truth), nil
+		}
+		return nil, fmt.Errorf("query row %d has no ground-truth cluster", row)
 	case "replay":
 		if cfg.Transcript == nil {
 			return nil, errors.New("user: replay policy needs a recorded transcript")

@@ -2,17 +2,29 @@ package user
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"innsearch/internal/core"
+	"innsearch/internal/dataset"
+	"innsearch/internal/synth"
 )
 
 func TestPolicyRegistry(t *testing.T) {
+	rows := [][]float64{{0, 0}, {0, 1}, {5, 5}, {9, 9}}
+	labeled, err := dataset.New(rows, []int{0, 0, 1, synth.OutlierLabel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabeled, err := dataset.New(rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range PolicyNames() {
 		cfg := PolicyConfig{Seed: 7}
 		switch name {
 		case "oracle":
-			cfg.Relevant = []int{1, 2, 3}
+			cfg.Data, cfg.Row = labeled, 1
 		case "replay":
 			cfg.Transcript = &core.Transcript{}
 		}
@@ -24,8 +36,23 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Fatalf("NewPolicy(%q) returned nil user", name)
 		}
 	}
-	if _, err := NewPolicy("oracle", PolicyConfig{}); err == nil {
-		t.Fatal("oracle without ground truth should fail")
+	if u, _ := NewPolicy("oracle", PolicyConfig{Data: labeled, Row: 1}); !reflect.DeepEqual(u, NewOracle([]int{0, 1})) {
+		t.Errorf("oracle for row 1 = %+v, want the planted cluster {0, 1}", u)
+	}
+	// The oracle's refusals are innsearchd's 400 texts.
+	for _, tc := range []struct {
+		cfg  PolicyConfig
+		want string
+	}{
+		{PolicyConfig{}, "oracle user needs a labeled dataset"},
+		{PolicyConfig{Data: unlabeled}, "oracle user needs a labeled dataset"},
+		{PolicyConfig{Data: labeled, Row: 4}, "query row 4 outside [0, 4)"},
+		{PolicyConfig{Data: labeled, Row: -1}, "query row -1 outside [0, 4)"},
+		{PolicyConfig{Data: labeled, Row: 3}, "query row 3 has no ground-truth cluster"},
+	} {
+		if _, err := NewPolicy("oracle", tc.cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("oracle at row %d: err %v, want %q", tc.cfg.Row, err, tc.want)
+		}
 	}
 	if _, err := NewPolicy("replay", PolicyConfig{}); err == nil {
 		t.Fatal("replay without transcript should fail")

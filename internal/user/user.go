@@ -18,8 +18,9 @@
 //     lowers the separator from the query's own density until the
 //     region's growth stabilizes.
 //
-//   - Noisy wraps another user with random sloppiness, for robustness
-//     ablations.
+//   - NoisyHuman wraps another user (Heuristic by default) with seeded
+//     sloppiness: skipped views, τ jitter and bad accepts, for the
+//     robustness ablation and the load fleet's noisyhuman policy.
 //
 //   - QualityWeighted wraps another user, weighting each answer by the
 //     view's discrimination (the optional wᵢ of §2.3).
@@ -33,7 +34,6 @@ package user
 
 import (
 	"context"
-	"math/rand"
 
 	"innsearch/internal/core"
 	"innsearch/internal/grid"
@@ -231,38 +231,6 @@ func (h *Heuristic) SeparateCluster(p *core.VisualProfile, preview func(tau floa
 	// clearly the view separates the query cluster.
 	confidence := float64(bestEnd-bestStart) / float64(len(heuristicMults)-1)
 	return core.Decision{Tau: taus[bestEnd], Confidence: confidence}
-}
-
-// Noisy wraps another user and injects human sloppiness: random view
-// skips and multiplicative jitter on the separator height.
-type Noisy struct {
-	Base core.User
-	// SkipProb is the chance of ignoring a view the base user would have
-	// answered.
-	SkipProb float64
-	// TauJitter is the relative magnitude of the multiplicative noise
-	// applied to the separator height (e.g. 0.3 → τ scaled by a factor
-	// in [0.7, 1.3]).
-	TauJitter float64
-	// Rng drives the noise; required.
-	Rng *rand.Rand
-}
-
-// SeparateCluster implements core.User.
-func (u *Noisy) SeparateCluster(p *core.VisualProfile, preview func(tau float64) *grid.Region) core.Decision {
-	if u.Rng.Float64() < u.SkipProb {
-		return core.Decision{Skip: true}
-	}
-	d := u.Base.SeparateCluster(p, preview)
-	if d.Skip {
-		return d
-	}
-	jitter := 1 + u.TauJitter*(2*u.Rng.Float64()-1)
-	if jitter < 0.05 {
-		jitter = 0.05
-	}
-	d.Tau *= jitter
-	return d
 }
 
 // QualityWeighted wraps another user and sets each answered decision's

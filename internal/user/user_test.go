@@ -172,11 +172,11 @@ func TestNoisyUserSkipsAndJitters(t *testing.T) {
 	base := core.UserFunc(func(pr *core.VisualProfile, _ func(float64) *grid.Region) core.Decision {
 		return core.Decision{Tau: 1.0}
 	})
-	always := &Noisy{Base: base, SkipProb: 1, Rng: rand.New(rand.NewSource(1))}
+	always := &NoisyHuman{Base: base, SkipProb: 1, Rng: rand.New(rand.NewSource(1))}
 	if d := always.SeparateCluster(p, previewFor(p)); !d.Skip {
 		t.Error("SkipProb=1 did not skip")
 	}
-	never := &Noisy{Base: base, SkipProb: 0, TauJitter: 0.5, Rng: rand.New(rand.NewSource(2))}
+	never := &NoisyHuman{Base: base, SkipProb: 0, TauJitter: 0.5, Rng: rand.New(rand.NewSource(2))}
 	d := never.SeparateCluster(p, previewFor(p))
 	if d.Skip {
 		t.Fatal("SkipProb=0 skipped")
